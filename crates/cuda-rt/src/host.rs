@@ -364,10 +364,12 @@ impl HostSim {
             }
             d.device
         };
-        for (i, v) in vals.iter().enumerate() {
-            self.sys
-                .buffer_mut(dst)
-                .store(dst_off + i as u64, v.to_bits())?;
+        let words = self
+            .sys
+            .buffer_mut(dst)
+            .range_mut(dst_off, vals.len() as u64)?;
+        for (w, v) in words.iter_mut().zip(vals) {
+            *w = v.to_bits();
         }
         self.charge_pcie(thread, dev, vals.len() as u64 * 8);
         Ok(())
@@ -392,12 +394,10 @@ impl HostSim {
             }
             s.device
         };
-        let mut out = Vec::with_capacity(words as usize);
-        for i in 0..words {
-            out.push(f64::from_bits(self.sys.buffer(src).load(src_off + i)?));
-        }
+        let mut out = vec![0u64; words as usize];
+        self.sys.buffer(src).read_range(src_off, &mut out)?;
         self.charge_pcie(thread, dev, words * 8);
-        Ok(out)
+        Ok(out.into_iter().map(f64::from_bits).collect())
     }
 
     /// Synchronous PCIe transfer: the thread waits for the stream to drain
@@ -438,17 +438,15 @@ impl HostSim {
             let d = self.sys.buffer(dst);
             if src_off + words > s.len() || dst_off + words > d.len() {
                 return Err(SimError::MemoryFault(format!(
-                    "peer copy of {words} words at +{src_off}/+{dst_off} exceeds                      buffer sizes {} / {}",
+                    "peer copy of {words} words at +{src_off}/+{dst_off} exceeds \
+                     buffer sizes {} / {}",
                     s.len(),
                     d.len()
                 )));
             }
             (s.device, d.device)
         };
-        for i in 0..words {
-            let v = self.sys.buffer(src).load(src_off + i)?;
-            self.sys.buffer_mut(dst).store(dst_off + i, v)?;
-        }
+        self.sys.copy_words(dst, dst_off, src, src_off, words)?;
         // Stream-ordered start (default-stream semantics), but the transfer
         // itself runs on the copy engines: concurrent copies between
         // disjoint device pairs overlap, as on real hardware.
@@ -646,5 +644,51 @@ mod tests {
         let a = h.sys.alloc(0, 2);
         let b = h.sys.alloc(0, 8);
         assert!(h.memcpy_peer(0, b, a, 4).is_err());
+    }
+
+    #[test]
+    fn memcpy_peer_fault_message_is_pinned() {
+        let mut h = host();
+        let a = h.sys.alloc(0, 2);
+        let b = h.sys.alloc(0, 8);
+        let err = h.memcpy_peer_at(0, b, 1, a, 0, 4).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::MemoryFault(
+                "peer copy of 4 words at +0/+1 exceeds buffer sizes 2 / 8".to_string()
+            )
+        );
+    }
+
+    #[test]
+    fn memcpy_peer_same_buffer_overlap_copies_forward_per_word() {
+        let mut h = host();
+        let vals: Vec<f64> = (0..8).map(|i| i as f64).collect();
+        // Destination above the source: each word reads the one written
+        // `dst_off - src_off` steps earlier, so the first two repeat.
+        let up = h.sys.alloc_f64(0, &vals);
+        h.memcpy_peer_at(0, up, 2, up, 0, 5).unwrap();
+        assert_eq!(
+            h.sys.read_f64(up),
+            vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 7.0]
+        );
+        // Destination below the source: a plain shift down.
+        let down = h.sys.alloc_f64(0, &vals);
+        h.memcpy_peer_at(0, down, 0, down, 3, 5).unwrap();
+        assert_eq!(
+            h.sys.read_f64(down),
+            vec![3.0, 4.0, 5.0, 6.0, 7.0, 5.0, 6.0, 7.0]
+        );
+    }
+
+    #[test]
+    fn memcpy_peer_from_a_linear_source_copies_its_closed_form() {
+        let mut h = host();
+        let src = h.sys.alloc_linear(0, 0.5, 0.25, 1 << 30);
+        let dst = h.sys.alloc(0, 4);
+        h.memcpy_peer_at(0, dst, 1, src, 10, 3).unwrap();
+        assert_eq!(h.sys.read_f64(dst), vec![0.0, 3.0, 3.25, 3.5]);
+        // The synthetic source stays synthetic.
+        assert!(h.sys.buffer(src).as_dense().is_none());
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::fault::{self, FaultPlan};
 use crate::isa::{Instr, Operand, Program, Reg, ShflKind, ShflMode, Special, NUM_REGS};
-use crate::mem::{GlobalAgent, GlobalHazard, GlobalRaceCheck, Hazard, SharedMem};
+use crate::mem::{BufData, GlobalAgent, GlobalHazard, GlobalRaceCheck, Hazard, SharedMem};
 use crate::profile::{BarrierEpoch, ProfileReport, SmProfile, SyncScope, EPOCH_CAP};
 use crate::system::{ExecReport, GpuSystem, GridLaunch};
 use gpu_arch::GpuArch;
@@ -331,6 +331,10 @@ pub(crate) struct Engine<'a> {
     /// simulated time. `Ps::MAX` (the single-queue engine) disables the
     /// bound; a shard's coordinator resets it to each round's horizon.
     window_limit: Ps,
+    /// Test builds only: send every global access down the per-lane path,
+    /// so the differential tests can run one launch through both paths.
+    #[cfg(test)]
+    per_lane_only: bool,
 }
 
 /// Per-shard state of one shard of a sharded run: either one rank of a
@@ -566,6 +570,8 @@ impl<'a> Engine<'a> {
             last_progress_at: Ps::ZERO,
             shard: None,
             window_limit: Ps::MAX,
+            #[cfg(test)]
+            per_lane_only: false,
         }
     }
 
@@ -686,23 +692,39 @@ impl<'a> Engine<'a> {
         Option<ProfileReport>,
     )> {
         self.setup();
-        while let Some((t, ev)) = self.q.pop() {
+        let mut next = self.q.pop();
+        while let Some((t, ev)) = next {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             if self.watchdog_expired() {
                 return Err(self.watchdog_error());
             }
-            match ev {
+            let resched = match ev {
                 Ev::WarpStep(w, gen) => {
                     if self.warps[w as usize].gen == gen && !self.warps[w as usize].done {
-                        self.run_warp(w)?;
+                        self.run_warp(w)?.map(|at| (w, at))
+                    } else {
+                        None
                     }
                 }
-                Ev::StartBlock(b) => self.start_block(b),
-            }
+                Ev::StartBlock(b) => {
+                    self.start_block(b);
+                    None
+                }
+            };
             if self.instrs_executed > self.sys.instr_limit {
                 return Err(self.instr_limit_error());
             }
+            // A warp that could not run ahead is due no earlier than the
+            // queue head: its push and the next pop fuse into one sift.
+            next = match resched {
+                Some((w, at)) => {
+                    let warp = &mut self.warps[w as usize];
+                    warp.gen = warp.gen.wrapping_add(1);
+                    Some(self.q.push_pop(at, Ev::WarpStep(w, warp.gen)))
+                }
+                None => self.q.pop(),
+            };
         }
         self.finish()
     }
@@ -737,7 +759,9 @@ impl<'a> Engine<'a> {
             match ev {
                 Ev::WarpStep(w, gen) => {
                     if self.warps[w as usize].gen == gen && !self.warps[w as usize].done {
-                        self.run_warp(w)?;
+                        if let Some(at) = self.run_warp(w)? {
+                            self.schedule_warp(w, at);
+                        }
                     }
                 }
                 Ev::StartBlock(b) => self.start_block(b),
@@ -777,7 +801,7 @@ impl<'a> Engine<'a> {
     /// timings are bit-identical to the single-queue engine's.
     pub(crate) fn inject_mgrid_release(&mut self, release: Ps) {
         let rank = self.shard.as_ref().expect("sharded engine").rank as usize;
-        self.release_grid(rank, release, true, Ps::ZERO);
+        self.release_grid(rank, release, true);
     }
 
     // ----- SM-cluster shard protocol -------------------------------------------
@@ -917,7 +941,11 @@ impl<'a> Engine<'a> {
     /// warp's generation is bumped exactly as `schedule_warp` would, so any
     /// event pushed for this warp in the meantime (e.g. a synchronous
     /// barrier-release wake) goes stale just as it would on the slow path.
-    fn run_warp(&mut self, w: u32) -> SimResult<()> {
+    ///
+    /// Returns the time the warp must be scheduled at when it cannot run
+    /// ahead; the caller pushes that step (`run_window`) or fuses the push
+    /// with its next pop (`run_full`).
+    fn run_warp(&mut self, w: u32) -> SimResult<Option<Ps>> {
         let mut next = self.step_warp(w)?;
         while let Some(at) = next {
             // In a sharded round the window horizon bounds the fast path
@@ -929,8 +957,7 @@ impl<'a> Engine<'a> {
                     Some(t) => at < t,
                 };
             if !ahead {
-                self.schedule_warp(w, at);
-                return Ok(());
+                return Ok(Some(at));
             }
             if self.instrs_executed > self.sys.instr_limit {
                 return Err(self.instr_limit_error());
@@ -946,7 +973,7 @@ impl<'a> Engine<'a> {
             }
             next = self.step_warp(w)?;
         }
-        Ok(())
+        Ok(None)
     }
 
     // ----- fault injection / watchdog -----------------------------------------
@@ -1740,6 +1767,39 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The value every lane of `group` reads through `src`, if it is the
+    /// same for all of them: always for a `Const`, for a register when the
+    /// group's lanes agree.
+    fn uniform_val(&self, w: u32, group: u32, src: AluSrc) -> Option<u64> {
+        match src {
+            AluSrc::Const(v) => Some(v),
+            AluSrc::Col(c) => {
+                let regs = &self.warps[w as usize].regs[c..c + WARP as usize];
+                let v = regs[(group.trailing_zeros() & 31) as usize];
+                iter_lanes(group)
+                    .all(|l| regs[(l & 31) as usize] == v)
+                    .then_some(v)
+            }
+            AluSrc::Lin(_) => None,
+        }
+    }
+
+    /// The warp-uniform fast path's buffer: the index `src` names for every
+    /// lane of `group`, when the checks the per-lane path repeats per lane
+    /// all pass once — the id resolves, the shard may touch its device —
+    /// and the buffer is dense. `None` sends the instruction down the
+    /// per-lane path, which also reports any fault.
+    fn uniform_dense_buf(&self, w: u32, group: u32, src: AluSrc) -> Option<usize> {
+        #[cfg(test)]
+        if self.per_lane_only {
+            return None;
+        }
+        let b = self.uniform_val(w, group, src)? as usize;
+        let buffer = self.sys.bufs.get(b)?;
+        shard_guard(&self.shard, buffer.device).ok()?;
+        buffer.as_dense().map(|_| b)
+    }
+
     /// Unary ALU op: `d = f(a)` for every lane in `group`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -1970,17 +2030,29 @@ impl<'a> Engine<'a> {
                 // Collect loads first, then write the register column, so the
                 // warp borrow doesn't alternate with the buffer borrow.
                 let mut vals = [0u64; WARP as usize];
-                for lane in iter_lanes(group) {
-                    let b = self.src_val(w, lane, rb) as usize;
-                    let i = self.src_val(w, lane, ri);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
-                    remote |= buffer.device != self.devs[warp_rank].device_id;
-                    vals[(lane & 31) as usize] = buffer.load(i)?;
+                if let Some(b) = self.uniform_dense_buf(w, group, rb) {
+                    let buffer = &self.sys.bufs[b];
+                    let data = buffer.as_dense().expect("dense buffer");
+                    for lane in iter_lanes(group) {
+                        let i = self.src_val(w, lane, ri);
+                        vals[(lane & 31) as usize] = match data.get(i as usize) {
+                            Some(&v) => v,
+                            None => return Err(buffer.fault("load", i)),
+                        };
+                    }
+                    remote = buffer.device != self.devs[warp_rank].device_id;
+                } else {
+                    for lane in iter_lanes(group) {
+                        let b = self.src_val(w, lane, rb) as usize;
+                        let i = self.src_val(w, lane, ri);
+                        let buffer =
+                            self.sys.bufs.get(b).ok_or_else(|| {
+                                SimError::MemoryFault(format!("bad buffer id {b}"))
+                            })?;
+                        shard_guard(&self.shard, buffer.device)?;
+                        remote |= buffer.device != self.devs[warp_rank].device_id;
+                        vals[(lane & 31) as usize] = buffer.load(i)?;
+                    }
                 }
                 // Take the checker out of `self` for the loop: grace_agent
                 // needs a fresh immutable borrow per lane.
@@ -2025,37 +2097,41 @@ impl<'a> Engine<'a> {
                     n += 1;
                 }
                 let cluster = self.shard.as_ref().is_some_and(|s| s.sm.is_some());
-                for &(b, i, v) in &stores[..n] {
-                    if cluster {
-                        // Cluster shards hold len-only window placeholders for
-                        // store targets: log the store for the coordinator's
-                        // ordered merge-back, after replicating the exact
-                        // bounds check the dense buffer would have applied.
+                let fast = if cluster {
+                    None
+                } else {
+                    self.uniform_dense_buf(w, group, rb)
+                };
+                if let Some(b) = fast {
+                    let data = self.sys.bufs[b].as_dense_mut().expect("dense buffer");
+                    for &(_, i, v) in &stores[..n] {
+                        match data.get_mut(i as usize) {
+                            Some(slot) => *slot = v,
+                            None => return Err(self.sys.bufs[b].fault("store", i)),
+                        }
+                    }
+                } else {
+                    for &(b, i, v) in &stores[..n] {
                         let buffer =
-                            self.sys.bufs.get(b).ok_or_else(|| {
+                            self.sys.bufs.get_mut(b).ok_or_else(|| {
                                 SimError::MemoryFault(format!("bad buffer id {b}"))
                             })?;
                         shard_guard(&self.shard, buffer.device)?;
-                        let len = buffer.len();
-                        if i >= len {
-                            return Err(SimError::MemoryFault(format!(
-                                "store at {i} beyond buffer of {len} words"
-                            )));
+                        if cluster {
+                            // Cluster shards hold len-only window placeholders
+                            // for store targets: log the store for the
+                            // coordinator's ordered merge-back, after the
+                            // bounds check the dense buffer would have applied.
+                            buffer.check("store", i)?;
+                            self.shard
+                                .as_mut()
+                                .expect("cluster shard")
+                                .store_log
+                                .push((start, b, i, v));
+                        } else {
+                            buffer.store(i, v)?;
                         }
-                        self.shard
-                            .as_mut()
-                            .expect("cluster shard")
-                            .store_log
-                            .push((start, b, i, v));
-                        continue;
                     }
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
-                    buffer.store(i, v)?;
                 }
                 if let Some(mut g) = self.grace.take() {
                     g.at(pc);
@@ -2359,19 +2435,15 @@ impl<'a> Engine<'a> {
             SyncCoalesced => self.warp_barrier(w, group, pc, WARP, ShflKind::Coalesced),
             MemFence => {
                 let start = self.charge_sched(w);
-                let block = self.warps[w as usize].block;
-                for lane in iter_lanes(group) {
-                    let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                    self.blocks[block as usize].smem.fence(tid);
-                }
+                self.fence_lanes(w, group);
                 self.grace_sync();
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(start + self.lat.c4))
             }
 
-            BarSync => self.block_level_barrier(w, group, pc, BlockWaitKind::Block),
-            GridSync => self.block_level_barrier(w, group, pc, BlockWaitKind::Grid),
-            MultiGridSync => self.block_level_barrier(w, group, pc, BlockWaitKind::MultiGrid),
+            BarSync => self.block_level_barrier(w, group, BlockWaitKind::Block),
+            GridSync => self.block_level_barrier(w, group, BlockWaitKind::Grid),
+            MultiGridSync => self.block_level_barrier(w, group, BlockWaitKind::MultiGrid),
 
             Nanosleep(ns) => {
                 let start = self.charge_sched(w);
@@ -2440,37 +2512,54 @@ impl<'a> Engine<'a> {
         let local_dev = self.devs[warp_rank].device_id;
         let mut total_elems = 0u64;
         let mut remote: Vec<usize> = Vec::new();
-        for lane in iter_lanes(group) {
-            let d = self.eval(w, lane, dst) as usize;
-            let ab = self.eval(w, lane, a) as usize;
-            let bb = self.eval(w, lane, b) as usize;
-            let s0 = self.eval(w, lane, st);
-            let k = self.eval(w, lane, stride).max(1);
-            let n = self.eval(w, lane, len);
-            for &buf in &[d, ab, bb] {
-                let buffer = self
-                    .sys
-                    .bufs
-                    .get(buf)
-                    .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {buf}")))?;
-                shard_guard(&self.shard, buffer.device)?;
-                if n > buffer.len() {
-                    return Err(SimError::MemoryFault(format!(
-                        "combine cap {n} beyond buffer of {} words",
-                        buffer.len()
-                    )));
-                }
-                if buffer.device != local_dev {
-                    remote.push(buffer.device);
+        let uniform = [dst, a, b].map(|op| {
+            let src = self.alu_src(w, op);
+            self.uniform_dense_buf(w, group, src)
+        });
+        let fast = match uniform {
+            [Some(d), Some(ab), Some(bb)] => {
+                self.mem_combine_rows(w, group, [d, ab, bb], st, stride, len)
+            }
+            _ => None,
+        };
+        if let Some(elems) = fast {
+            total_elems = elems?;
+            for buf in uniform.into_iter().flatten() {
+                let dev = self.sys.bufs[buf].device;
+                if dev != local_dev {
+                    remote.push(dev);
                 }
             }
-            let mut i = s0;
-            while i < n {
-                let va = f64::from_bits(self.sys.bufs[ab].load(i)?);
-                let vb = f64::from_bits(self.sys.bufs[bb].load(i)?);
-                self.sys.bufs[d].store(i, (va + vb).to_bits())?;
-                i += k;
-                total_elems += 1;
+        } else {
+            for lane in iter_lanes(group) {
+                let d = self.eval(w, lane, dst) as usize;
+                let ab = self.eval(w, lane, a) as usize;
+                let bb = self.eval(w, lane, b) as usize;
+                let s0 = self.eval(w, lane, st);
+                let k = self.eval(w, lane, stride).max(1);
+                let n = self.eval(w, lane, len);
+                for &buf in &[d, ab, bb] {
+                    let buffer = self
+                        .sys
+                        .bufs
+                        .get(buf)
+                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {buf}")))?;
+                    shard_guard(&self.shard, buffer.device)?;
+                    if n > buffer.len() {
+                        return Err(combine_cap_fault(n, buffer.len()));
+                    }
+                    if buffer.device != local_dev {
+                        remote.push(buffer.device);
+                    }
+                }
+                let mut i = s0;
+                while i < n {
+                    let va = f64::from_bits(self.sys.bufs[ab].load(i)?);
+                    let vb = f64::from_bits(self.sys.bufs[bb].load(i)?);
+                    self.sys.bufs[d].store(i, (va + vb).to_bits())?;
+                    i += k;
+                    total_elems += 1;
+                }
             }
         }
         self.advance_pcs(w, group, pc);
@@ -2489,6 +2578,66 @@ impl<'a> Engine<'a> {
             );
         }
         Ok(Step::Ready(done))
+    }
+
+    /// The warp-uniform `MemCombine`: every lane names the same three dense
+    /// buffers `[dst, a, b]`, already resolved and shard-checked once. It
+    /// applies when all lanes share the stride `k` and the cap `n` and the
+    /// group's `m` starts are consecutive from `s0`. Lane `j`'s `r`-th
+    /// element is then word `j` of row `r`, the contiguous `m` words from
+    /// `s0 + r * k`, so combining row by row touches the same elements the
+    /// same number of times as lane by lane. Order cannot matter: each
+    /// touch of element `i` applies the same update to `dst[i]` alone (set
+    /// it to `a[i] + b[i]`, or add the other source when one aliases `dst`,
+    /// or double it when both do). A cap fault hits the first lane before
+    /// any write, as on the per-lane path. Returns the number of elements
+    /// combined, or `None` to take the per-lane path.
+    fn mem_combine_rows(
+        &mut self,
+        w: u32,
+        group: u32,
+        [d, ab, bb]: [usize; 3],
+        st: Operand,
+        stride: Operand,
+        len: Operand,
+    ) -> Option<SimResult<u64>> {
+        let k = self.uniform_val(w, group, self.alu_src(w, stride))?.max(1);
+        let n = self.uniform_val(w, group, self.alu_src(w, len))?;
+        let rs = self.alu_src(w, st);
+        let s0 = self.src_val(w, group.trailing_zeros(), rs);
+        let m = group.count_ones() as u64;
+        let consecutive = iter_lanes(group)
+            .zip(0..)
+            .all(|(lane, j)| Some(self.src_val(w, lane, rs)) == s0.checked_add(j));
+        if !consecutive {
+            return None;
+        }
+        for buf in [d, ab, bb] {
+            let cap = self.sys.bufs[buf].len();
+            if n > cap {
+                return Some(Err(combine_cap_fault(n, cap)));
+            }
+        }
+        // Take the destination's words out so the sources can be borrowed
+        // beside them; a source that aliases the destination reads the taken
+        // words.
+        let BufData::Dense(words) = &mut self.sys.bufs[d].data else {
+            unreachable!("dense buffer")
+        };
+        let mut dv = std::mem::take(words);
+        let bufs = &self.sys.bufs;
+        let src = |buf: usize| (buf != d).then(|| bufs[buf].as_dense().expect("dense buffer"));
+        let (av, bv) = (src(ab), src(bb));
+        let mut total = 0u64;
+        let mut lo = s0;
+        while lo < n {
+            let hi = lo.saturating_add(m).min(n);
+            combine_f64(&mut dv, av, bv, lo as usize..hi as usize);
+            total += hi - lo;
+            lo = lo.saturating_add(k);
+        }
+        self.sys.bufs[d].data = BufData::Dense(dv);
+        Some(Ok(total))
     }
 
     /// Key for the peer channel between `remote` and `local`: NVLink pairs
@@ -2566,11 +2715,7 @@ impl<'a> Engine<'a> {
             let unit = self.devs[rank].sms[sm]
                 .sync_unit
                 .issue(start, interval, Ps::ZERO);
-            let block = self.warps[w as usize].block;
-            for lane in iter_lanes(group) {
-                let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                self.blocks[block as usize].smem.fence(tid);
-            }
+            self.fence_lanes(w, group);
             self.advance_pcs(w, group, pc);
             return Ok(Step::Ready(unit.start + latency));
         }
@@ -2598,6 +2743,16 @@ impl<'a> Engine<'a> {
         } else {
             Ok(Step::Parked { warp_barrier: true })
         }
+    }
+
+    /// Commit the pending shared stores of warp `w`'s `lanes` (each lane's
+    /// fence, in one pass over the block's pending stores).
+    fn fence_lanes(&mut self, w: u32, lanes: u32) {
+        let warp = &self.warps[w as usize];
+        let tid0 = warp.warp_in_block * WARP;
+        self.blocks[warp.block as usize]
+            .smem
+            .fence_threads(tid0, lanes);
     }
 
     /// Release any warp-barrier tiles whose non-exited lanes are all waiting.
@@ -2637,11 +2792,9 @@ impl<'a> Engine<'a> {
             let latency = self.lat.tile_sync_lat;
             // Commit stores of all released lanes; each advances past its own
             // barrier site (divergent code can sync at different PCs).
-            let block = self.warps[w as usize].block;
+            self.fence_lanes(w, released);
+            let warp = &mut self.warps[w as usize];
             for lane in iter_lanes(released) {
-                let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                self.blocks[block as usize].smem.fence(tid);
-                let warp = &mut self.warps[w as usize];
                 warp.pcs[lane as usize] += 1;
             }
             self.note_lanes(w, released);
@@ -2658,13 +2811,7 @@ impl<'a> Engine<'a> {
 
     // ----- block / grid / multi-grid barriers ----------------------------------
 
-    fn block_level_barrier(
-        &mut self,
-        w: u32,
-        group: u32,
-        pc: u32,
-        kind: BlockWaitKind,
-    ) -> SimResult<Step> {
+    fn block_level_barrier(&mut self, w: u32, group: u32, kind: BlockWaitKind) -> SimResult<Step> {
         // The whole warp (its non-exited lanes) must converge on the barrier.
         {
             let warp = &mut self.warps[w as usize];
@@ -2681,7 +2828,6 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let _ = pc;
         self.warp_arrives_at_block_barrier(w, kind);
         Ok(Step::Parked {
             warp_barrier: false,
@@ -2824,17 +2970,18 @@ impl<'a> Engine<'a> {
                 .max()
                 .unwrap_or(self.now);
             match kind {
-                BlockWaitKind::Grid => self.release_grid(rank, local_done, false, Ps::ZERO),
+                BlockWaitKind::Grid => self.release_grid(rank, local_done, false),
                 BlockWaitKind::MultiGrid => self.rank_arrives_at_mgrid(rank, local_done),
                 _ => unreachable!(),
             }
         }
     }
 
-    /// All blocks of `rank` arrived: wake them. `extra_release` shifts the
-    /// release flag time (multi-grid exchange); `mgrid` selects the heavier
-    /// per-warp system-scope release cost and per-block fence cost.
-    fn release_grid(&mut self, rank: usize, release_flag: Ps, mgrid: bool, _pad: Ps) {
+    /// All blocks of `rank` arrived: wake them once the release flag is set
+    /// at `release_flag` (after the inter-GPU exchange for multi-grid);
+    /// `mgrid` selects the heavier per-warp system-scope release cost and
+    /// per-block fence cost.
+    fn release_grid(&mut self, rank: usize, release_flag: Ps, mgrid: bool) {
         // A grid (or multi-grid) barrier orders every agent of the launch:
         // one launch-wide epoch tick. Block barriers deliberately do NOT
         // bump the global epoch — they only order one block's threads, and
@@ -2854,8 +3001,6 @@ impl<'a> Engine<'a> {
         } else {
             0.0
         };
-        let poll = self.lat.poll;
-        let l2_lat = self.lat.l2;
         let waiting = std::mem::take(&mut self.devs[rank].grid_bar.waiting);
         self.devs[rank].grid_bar.arrived = 0;
         let scope = if mgrid {
@@ -2864,7 +3009,6 @@ impl<'a> Engine<'a> {
             SyncScope::Grid
         };
         self.prof_epoch(rank as u32, scope, release_flag);
-        let _ = (poll, l2_lat);
         for (order, (gb, atomic_done)) in waiting.into_iter().enumerate() {
             let per_block = Ps::from_ns_f64(per_block_ns * order as f64);
             self.wake_grid_block(gb, atomic_done, release_flag, per_warp, per_block);
@@ -2935,7 +3079,7 @@ impl<'a> Engine<'a> {
         self.mgrid.ranks_arrived = 0;
         self.mgrid.rank_done.iter_mut().for_each(|d| *d = None);
         for (r, release) in releases.into_iter().enumerate() {
-            self.release_grid(r, release, true, Ps::ZERO);
+            self.release_grid(r, release, true);
         }
     }
 
@@ -3309,6 +3453,43 @@ fn reg_rows(program: &Program) -> usize {
     rows
 }
 
+/// `dst[i] = a[i] + b[i]` on f64 bits over `r`, where a `None` source is
+/// `dst` itself (each element is read before it is written). One loop per
+/// aliasing case keeps the element loop branch-free.
+fn combine_f64(dst: &mut [u64], a: Option<&[u64]>, b: Option<&[u64]>, r: std::ops::Range<usize>) {
+    fn add(x: u64, y: u64) -> u64 {
+        (f64::from_bits(x) + f64::from_bits(y)).to_bits()
+    }
+    let d = &mut dst[r.clone()];
+    match (a, b) {
+        (Some(a), Some(b)) => {
+            for ((o, &x), &y) in d.iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
+                *o = add(x, y);
+            }
+        }
+        (None, Some(b)) => {
+            for (o, &y) in d.iter_mut().zip(&b[r]) {
+                *o = add(*o, y);
+            }
+        }
+        (Some(a), None) => {
+            for (o, &x) in d.iter_mut().zip(&a[r]) {
+                *o = add(x, *o);
+            }
+        }
+        (None, None) => {
+            for o in d {
+                *o = add(*o, *o);
+            }
+        }
+    }
+}
+
+/// The fault of a `MemCombine` lane whose cap `n` exceeds a buffer's length.
+fn combine_cap_fault(n: u64, len: u64) -> SimError {
+    SimError::MemoryFault(format!("combine cap {n} beyond buffer of {len} words"))
+}
+
 /// Reject a cross-device data access from a shard: a shard owns only its
 /// rank's buffers (other slots are placeholders), so another device's
 /// memory cannot be simulated locally. The multi-grid barrier — the one
@@ -3359,5 +3540,257 @@ mod tests {
         assert_eq!(lanes, vec![0, 5, 7]);
         assert_eq!(iter_lanes(0).count(), 0);
         assert_eq!(iter_lanes(u32::MAX).count(), 32);
+    }
+
+    // --- warp-uniform fast paths vs the per-lane path ---------------------
+
+    use crate::isa::{Kernel, KernelBuilder};
+    use crate::mem::Buffer;
+    use Operand::{Imm, Param, Reg as R, Sp};
+
+    /// How the kernel names its buffers: a kernel param (`Const`), a
+    /// register every lane holds the same id in, or a register whose lane
+    /// 31 names the alternate buffer in `Param(alt)` (never uniform).
+    #[derive(Clone, Copy, Debug)]
+    enum BufOp {
+        Param,
+        UniformReg,
+        Lane31Differs,
+    }
+
+    const MODES: [BufOp; 3] = [BufOp::Param, BufOp::UniformReg, BufOp::Lane31Differs];
+
+    /// Emit the operand naming `Param(p)` in `mode`. Every mode emits the
+    /// same four ALU instructions, so timing never depends on the mode.
+    fn buf_operand(b: &mut KernelBuilder, mode: BufOp, p: u8, alt: u8) -> Operand {
+        let (c, diff, r) = (b.reg(), b.reg(), b.reg());
+        b.cmp_eq(c, Sp(Special::LaneId), Imm(31));
+        b.isub(diff, Param(alt), Param(p));
+        b.imul(c, R(c), R(diff));
+        match mode {
+            BufOp::Lane31Differs => b.iadd(r, Param(p), R(c)),
+            _ => b.iadd(r, Param(p), Imm(0)),
+        };
+        match mode {
+            BufOp::Param => Param(p),
+            _ => R(r),
+        }
+    }
+
+    /// Run `launch` on copies of `sys` through the fast and the per-lane
+    /// paths; both must agree on the report (or error) and on every buffer.
+    fn run_both(sys: &GpuSystem, launch: &GridLaunch) -> (SimResult<ExecReport>, Vec<Buffer>) {
+        let [fast, per_lane] = [false, true].map(|per_lane_only| {
+            let mut s = sys.clone();
+            let mut e = Engine::new(&mut s, launch);
+            e.per_lane_only = per_lane_only;
+            let r = e.run_full().map(|(report, ..)| report);
+            (r, s.bufs)
+        });
+        assert_eq!(fast.0, per_lane.0, "report or error differs");
+        assert_eq!(fast.1, per_lane.1, "buffer contents differ");
+        fast
+    }
+
+    fn sys() -> GpuSystem {
+        let mut arch = GpuArch::v100();
+        arch.num_sms = 2;
+        GpuSystem::single(arch)
+    }
+
+    /// `out[i + bump] = in[i + bump] + 1` at `i = GlobalTid`, with `bump`
+    /// added in lane 17 only. Params: 0 = in, 1 = out, 2 = alternate
+    /// buffer, 3 = bump.
+    fn copy_kernel(mode: BufOp) -> Kernel {
+        let mut b = KernelBuilder::new("copy");
+        let src = buf_operand(&mut b, mode, 0, 2);
+        let dst = buf_operand(&mut b, mode, 1, 2);
+        let (c, i, x) = (b.reg(), b.reg(), b.reg());
+        b.cmp_eq(c, Sp(Special::LaneId), Imm(17));
+        b.imul(c, R(c), Param(3));
+        b.iadd(i, Sp(Special::GlobalTid), R(c));
+        b.push(Instr::LdGlobal {
+            dst: x,
+            buf: src,
+            idx: R(i),
+        });
+        b.iadd(x, R(x), Imm(1));
+        b.push(Instr::StGlobal {
+            buf: dst,
+            idx: R(i),
+            val: R(x),
+        });
+        b.exit();
+        b.build(0)
+    }
+
+    type Setup = fn(&mut GpuSystem) -> Vec<u64>;
+
+    #[test]
+    fn global_load_store_fast_path_matches_per_lane_path() {
+        let dense: Setup = |s| {
+            let a = s.alloc_f64(0, &(0..64).map(|i| i as f64).collect::<Vec<_>>());
+            let o = s.alloc(0, 64);
+            let alt = s.alloc(0, 64);
+            vec![a.0 as u64, o.0 as u64, alt.0 as u64, 0]
+        };
+        let oob_lane17: Setup = |s| {
+            let a = s.alloc(0, 64);
+            let o = s.alloc(0, 64);
+            let alt = s.alloc(0, 64);
+            vec![a.0 as u64, o.0 as u64, alt.0 as u64, 1000]
+        };
+        let store_oob_lane17: Setup = |s| {
+            // In bounds for the load, beyond the output for lane 17's store.
+            let a = s.alloc(0, 2048);
+            let o = s.alloc(0, 64);
+            let alt = s.alloc(0, 64);
+            vec![a.0 as u64, o.0 as u64, alt.0 as u64, 1000]
+        };
+        let bad_id: Setup = |s| {
+            let o = s.alloc(0, 64);
+            let alt = s.alloc(0, 64);
+            vec![99, o.0 as u64, alt.0 as u64, 0]
+        };
+        let linear: Setup = |s| {
+            let a = s.alloc_linear(0, 0.5, 0.25, 64);
+            let o = s.alloc_linear(0, 1.0, 0.0, 64);
+            let alt = s.alloc(0, 64);
+            vec![a.0 as u64, o.0 as u64, alt.0 as u64, 0]
+        };
+        let cases: [(&str, Setup, Option<&str>); 5] = [
+            ("dense", dense, None),
+            (
+                "load oob",
+                oob_lane17,
+                Some("load at 1017 beyond buffer of 64 words"),
+            ),
+            (
+                "store oob",
+                store_oob_lane17,
+                Some("store at 1017 beyond buffer of 64 words"),
+            ),
+            ("bad id", bad_id, Some("bad buffer id 99")),
+            ("linear", linear, None),
+        ];
+        for (name, setup, want_err) in cases {
+            for mode in MODES {
+                let mut s = sys();
+                let params = setup(&mut s);
+                let launch = GridLaunch::single(copy_kernel(mode), 1, 64, params);
+                let (r, bufs) = run_both(&s, &launch);
+                match (want_err, r) {
+                    (None, Ok(report)) => {
+                        assert!(report.instrs_executed > 0, "{name} {mode:?}");
+                        let out = &bufs[1];
+                        let want = (0..64).map(|i| {
+                            let x = s.bufs[0].load(i).unwrap();
+                            x.wrapping_add(1)
+                        });
+                        let got = (0..64).map(|i| out.load(i).unwrap());
+                        // Lane 31 of each warp writes the alternate buffer.
+                        for (i, (g, w)) in got.zip(want).enumerate() {
+                            if !matches!(mode, BufOp::Lane31Differs) || i % 32 != 31 {
+                                assert_eq!(g, w, "{name} {mode:?} word {i}");
+                            }
+                        }
+                    }
+                    (Some(msg), Err(SimError::MemoryFault(got))) => {
+                        assert_eq!(got, msg, "{name} {mode:?}")
+                    }
+                    (want, got) => panic!("{name} {mode:?}: want {want:?}, got {got:?}"),
+                }
+            }
+        }
+    }
+
+    /// `dst[i] = a[i] + b[i]` via `MemCombine`, from `GlobalTid * Param(6)`
+    /// by `Param(5)`. Params: 0 = dst, 1 = a, 2 = b, 3 = len, 4 = alternate
+    /// buffer, 5 = stride, 6 = start spread.
+    fn combine_kernel(mode: BufOp, alias_dst_a: bool) -> Kernel {
+        let mut b = KernelBuilder::new("combine");
+        let dst = buf_operand(&mut b, mode, 0, 4);
+        let a = if alias_dst_a {
+            dst
+        } else {
+            buf_operand(&mut b, mode, 1, 4)
+        };
+        let src_b = buf_operand(&mut b, mode, 2, 4);
+        let start = b.reg();
+        b.imul(start, Sp(Special::GlobalTid), Param(6));
+        b.push(Instr::MemCombine {
+            dst,
+            a,
+            b: src_b,
+            start: R(start),
+            stride: Param(5),
+            len: Param(3),
+        });
+        b.exit();
+        b.build(0)
+    }
+
+    #[test]
+    fn mem_combine_fast_path_matches_per_lane_path() {
+        const THREADS: u64 = 128;
+        let vals = |k: f64| (0..256).map(|i| k + i as f64).collect::<Vec<f64>>();
+        // Stride 1 makes the lanes' ranges overlap: element i is combined
+        // once by every thread at or below it, so an aliased `dst == a`
+        // accumulates. Spread 2 leaves gaps between the lanes' starts.
+        for (alias, len, stride, spread, b_len, want_err) in [
+            (true, 256, THREADS, 1, 256, None),
+            (true, 256, 1, 1, 256, None),
+            (false, 200, THREADS, 1, 256, None),
+            (false, 200, 1, 1, 256, None),
+            (true, 256, 2 * THREADS, 2, 256, None),
+            (
+                true,
+                256,
+                THREADS,
+                1,
+                128,
+                Some("combine cap 256 beyond buffer of 128 words"),
+            ),
+        ] {
+            // Times each element is combined, by the threads' element sets.
+            let mut touches = vec![0u64; 256];
+            for t in 0..THREADS {
+                for i in (t * spread..len).step_by(stride as usize) {
+                    touches[i as usize] += 1;
+                }
+            }
+            for mode in MODES {
+                let mut s = sys();
+                let d = s.alloc_f64(0, &vals(1.0));
+                let a = s.alloc_f64(0, &vals(0.5));
+                let b = s.alloc_f64(0, &vals(0.25)[..b_len]);
+                let alt = s.alloc_f64(0, &vals(2.0));
+                let ids = [d, a, b, alt].map(|id| id.0 as u64);
+                let params = vec![ids[0], ids[1], ids[2], len, ids[3], stride, spread];
+                let launch = GridLaunch::single(combine_kernel(mode, alias), 2, 64, params);
+                let (r, bufs) = run_both(&s, &launch);
+                let tag =
+                    format!("alias {alias} len {len} stride {stride} spread {spread} {mode:?}");
+                match want_err {
+                    Some(msg) => assert_eq!(r, Err(SimError::MemoryFault(msg.into())), "{tag}"),
+                    None => {
+                        assert!(r.is_ok(), "{tag}: {r:?}");
+                        if matches!(mode, BufOp::Lane31Differs) {
+                            continue;
+                        }
+                        for (i, &n) in touches.iter().enumerate() {
+                            let got = f64::from_bits(bufs[d.0 as usize].load(i as u64).unwrap());
+                            let (x, y) = (i as f64, 0.25 + i as f64);
+                            let want = match (n, alias) {
+                                (0, _) => 1.0 + x,
+                                (_, false) => 0.5 + x + y,
+                                (n, true) => 1.0 + x + n as f64 * y,
+                            };
+                            assert_eq!(got, want, "{tag} word {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

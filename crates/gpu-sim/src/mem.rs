@@ -97,17 +97,61 @@ impl Buffer {
         self.len() == 0
     }
 
+    /// The `MemoryFault` a per-word `op` ("load" or "store") reports at an
+    /// index beyond the buffer — the one error text every access path
+    /// shares.
+    pub(crate) fn fault(&self, op: &str, idx: u64) -> SimError {
+        SimError::MemoryFault(format!(
+            "{op} at {idx} beyond buffer of {} words",
+            self.len()
+        ))
+    }
+
+    /// The per-word bounds check: `idx` as a slice index, or [`Buffer::fault`].
+    #[inline]
+    pub(crate) fn check(&self, op: &str, idx: u64) -> SimResult<usize> {
+        if idx < self.len() {
+            Ok(idx as usize)
+        } else {
+            Err(self.fault(op, idx))
+        }
+    }
+
+    /// Bounds check of the `words`-long range at `off`: the error names the
+    /// first word a per-word loop would have faulted on.
+    fn check_range(&self, op: &str, off: u64, words: u64) -> SimResult<std::ops::Range<usize>> {
+        let len = self.len();
+        match off.checked_add(words) {
+            Some(end) if end <= len => Ok(off as usize..end as usize),
+            _ => Err(self.fault(op, off.max(len))),
+        }
+    }
+
+    /// The words of a dense buffer; `None` for a synthetic one.
+    #[inline]
+    pub fn as_dense(&self) -> Option<&[u64]> {
+        match &self.data {
+            BufData::Dense(v) => Some(v),
+            BufData::Linear { .. } => None,
+        }
+    }
+
+    /// Mutable words of a dense buffer; `None` for a synthetic one (which
+    /// [`Buffer::range_mut`] densifies instead).
+    #[inline]
+    pub fn as_dense_mut(&mut self) -> Option<&mut [u64]> {
+        match &mut self.data {
+            BufData::Dense(v) => Some(v),
+            BufData::Linear { .. } => None,
+        }
+    }
+
     /// Read one word (f64 bits for synthetic buffers).
     pub fn load(&self, idx: u64) -> SimResult<u64> {
-        if idx >= self.len() {
-            return Err(SimError::MemoryFault(format!(
-                "load at {idx} beyond buffer of {} words",
-                self.len()
-            )));
-        }
+        let i = self.check("load", idx)?;
         Ok(match &self.data {
-            BufData::Dense(v) => v[idx as usize],
-            BufData::Linear { a, b, .. } => (a + b * idx as f64).to_bits(),
+            BufData::Dense(v) => v[i],
+            BufData::Linear { a, b, .. } => linear_word(*a, *b, idx),
         })
     }
 
@@ -115,28 +159,95 @@ impl Buffer {
     /// (allowed only for small synthetic buffers, as a guard against
     /// accidentally materializing gigabytes).
     pub fn store(&mut self, idx: u64, val: u64) -> SimResult<()> {
-        if idx >= self.len() {
-            return Err(SimError::MemoryFault(format!(
-                "store at {idx} beyond buffer of {} words",
-                self.len()
-            )));
+        let i = self.check("store", idx)?;
+        self.densify()?[i] = val;
+        Ok(())
+    }
+
+    /// Read `out.len()` words starting at `off` (closed form for synthetic
+    /// buffers). Fails before reading anything if the range leaves the
+    /// buffer.
+    pub fn read_range(&self, off: u64, out: &mut [u64]) -> SimResult<()> {
+        let r = self.check_range("load", off, out.len() as u64)?;
+        match &self.data {
+            BufData::Dense(v) => out.copy_from_slice(&v[r]),
+            BufData::Linear { a, b, .. } => {
+                for (o, i) in out.iter_mut().zip(off..) {
+                    *o = linear_word(*a, *b, i);
+                }
+            }
         }
-        if let BufData::Linear { len, .. } = &self.data {
-            const DENSIFY_LIMIT: u64 = 1 << 22;
-            if *len > DENSIFY_LIMIT {
+        Ok(())
+    }
+
+    /// Dense write access to the `words`-long range at `off`. A synthetic
+    /// buffer is densified first under the same rule as [`Buffer::store`];
+    /// an empty range never densifies. Fails before writing anything if the
+    /// range leaves the buffer.
+    pub fn range_mut(&mut self, off: u64, words: u64) -> SimResult<&mut [u64]> {
+        let r = self.check_range("store", off, words)?;
+        if r.is_empty() {
+            return Ok(&mut []);
+        }
+        Ok(&mut self.densify()?[r])
+    }
+
+    /// Copy `words` words from `src[src_off..]` to `self[dst_off..]`, as a
+    /// forward per-word copy would. Both ranges are checked before anything
+    /// is written.
+    pub fn copy_from(
+        &mut self,
+        dst_off: u64,
+        src: &Buffer,
+        src_off: u64,
+        words: u64,
+    ) -> SimResult<()> {
+        let sr = src.check_range("load", src_off, words)?;
+        let dst = self.range_mut(dst_off, words)?;
+        match &src.data {
+            BufData::Dense(v) => dst.copy_from_slice(&v[sr]),
+            BufData::Linear { .. } => src.read_range(src_off, dst)?,
+        }
+        Ok(())
+    }
+
+    /// [`Buffer::copy_from`] with source and destination in this buffer.
+    /// Overlapping ranges keep forward per-word semantics: with the
+    /// destination above the source, words already written are read again,
+    /// so the source's first `dst_off - src_off` words repeat.
+    pub fn copy_within(&mut self, dst_off: u64, src_off: u64, words: u64) -> SimResult<()> {
+        let sr = self.check_range("load", src_off, words)?;
+        let dr = self.check_range("store", dst_off, words)?;
+        if words == 0 {
+            return Ok(());
+        }
+        let v = self.densify()?;
+        if dr.start <= sr.start || dr.start >= sr.end {
+            v.copy_within(sr, dr.start);
+        } else {
+            for (d, s) in dr.zip(sr) {
+                v[d] = v[s];
+            }
+        }
+        Ok(())
+    }
+
+    /// The words of this buffer, materializing a synthetic one (the
+    /// densify-on-write rule).
+    fn densify(&mut self) -> SimResult<&mut Vec<u64>> {
+        if let BufData::Linear { a, b, len } = self.data {
+            if len > DENSIFY_LIMIT {
                 return Err(SimError::MemoryFault(format!(
                     "store to synthetic buffer of {len} words (> {DENSIFY_LIMIT}) \
                      would materialize it"
                 )));
             }
-            let dense: Vec<u64> = (0..*len).map(|i| self.load(i).unwrap()).collect();
-            self.data = BufData::Dense(dense);
+            self.data = BufData::Dense((0..len).map(|i| linear_word(a, b, i)).collect());
         }
         match &mut self.data {
-            BufData::Dense(v) => v[idx as usize] = val,
+            BufData::Dense(v) => Ok(v),
             BufData::Linear { .. } => unreachable!(),
         }
-        Ok(())
     }
 
     /// Sum of f64 words at `start, start+stride, ...` below `len_cap`,
@@ -174,6 +285,15 @@ impl Buffer {
             }
         }
     }
+}
+
+/// Largest synthetic buffer a store may densify.
+const DENSIFY_LIMIT: u64 = 1 << 22;
+
+/// Word `i` of the synthetic buffer `a + b * i`, as f64 bits.
+#[inline]
+fn linear_word(a: f64, b: f64, i: u64) -> u64 {
+    (a + b * i as f64).to_bits()
 }
 
 /// One shared-memory word with the paper-motivated visibility rule: a
@@ -343,6 +463,10 @@ impl RaceCheck {
 #[derive(Debug, Clone)]
 pub struct SharedMem {
     words: Vec<SmemWord>,
+    /// Indices of words that may hold a pending store, so a fence costs
+    /// O(stores since the last fence) instead of O(words). An entry whose
+    /// store was since committed is dropped by the next fence that visits it.
+    pending: Vec<u32>,
     race: Option<RaceCheck>,
 }
 
@@ -350,6 +474,7 @@ impl SharedMem {
     pub fn new(words: u32) -> SharedMem {
         SharedMem {
             words: vec![SmemWord::default(); words as usize],
+            pending: Vec::new(),
             race: None,
         }
     }
@@ -358,6 +483,7 @@ impl SharedMem {
     pub fn with_racecheck(words: u32) -> SharedMem {
         SharedMem {
             words: vec![SmemWord::default(); words as usize],
+            pending: Vec::new(),
             race: Some(RaceCheck {
                 shadow: vec![Shadow::default(); words as usize],
                 epoch: 0,
@@ -437,11 +563,15 @@ impl SharedMem {
         if let Some(rc) = &mut self.race {
             rc.on_store(thread, addr);
         }
+        let w = &mut self.words[i];
         if volatile {
-            self.words[i].committed = val;
-            self.words[i].pending = None;
+            w.committed = val;
+            w.pending = None;
         } else {
-            self.words[i].pending = Some((thread, val));
+            if w.pending.is_none() {
+                self.pending.push(i as u32);
+            }
+            w.pending = Some((thread, val));
         }
         Ok(())
     }
@@ -449,24 +579,42 @@ impl SharedMem {
     /// Commit all pending stores by `thread` (the effect of a fence or any
     /// synchronization instruction executed by that thread).
     pub fn fence(&mut self, thread: u32) {
-        for w in &mut self.words {
-            if let Some((t, v)) = w.pending {
-                if t == thread {
-                    w.committed = v;
-                    w.pending = None;
-                }
-            }
+        self.fence_threads(thread, 1);
+    }
+
+    /// Commit all pending stores by the threads `first + k` for every bit
+    /// `k` set in `mask` — one pass for a warp's fencing lanes.
+    pub fn fence_threads(&mut self, first: u32, mask: u32) {
+        if self.pending.is_empty() {
+            return;
         }
+        let words = &mut self.words;
+        self.pending.retain(|&i| {
+            let w = &mut words[i as usize];
+            match w.pending {
+                Some((t, v)) => {
+                    let k = t.wrapping_sub(first);
+                    if k < 32 && mask & (1 << k) != 0 {
+                        w.committed = v;
+                        w.pending = None;
+                        false
+                    } else {
+                        true
+                    }
+                }
+                None => false,
+            }
+        });
     }
 
     /// Commit everything (block barrier: every participant fences). With
     /// racecheck on, this also advances the barrier epoch: accesses on
     /// opposite sides of a block barrier are ordered and never conflict.
     pub fn fence_all(&mut self) {
-        for w in &mut self.words {
-            if let Some((_, v)) = w.pending {
+        for i in self.pending.drain(..) {
+            let w = &mut self.words[i as usize];
+            if let Some((_, v)) = w.pending.take() {
                 w.committed = v;
-                w.pending = None;
             }
         }
         if let Some(rc) = &mut self.race {
@@ -706,6 +854,53 @@ mod tests {
         assert!(b.strided_sum(0, 1, 3).is_err());
     }
 
+    fn linear(a: f64, b: f64, len: u64) -> Buffer {
+        Buffer {
+            device: 0,
+            data: BufData::Linear { a, b, len },
+        }
+    }
+
+    #[test]
+    fn range_reads_match_per_word_loads() {
+        let lin = linear(0.5, 0.25, 100);
+        let den = dense(&(0..100).map(|i| 0.5 + 0.25 * i as f64).collect::<Vec<_>>());
+        for b in [&lin, &den] {
+            let mut out = [0u64; 7];
+            b.read_range(40, &mut out).unwrap();
+            let want: Vec<u64> = (40..47).map(|i| b.load(i).unwrap()).collect();
+            assert_eq!(out.to_vec(), want);
+        }
+    }
+
+    #[test]
+    fn range_faults_name_the_first_word_a_per_word_loop_would_fault_on() {
+        let b = dense(&[0.0; 8]);
+        let mut out = [0u64; 4];
+        for (off, idx) in [(6u64, 8u64), (9, 9), (u64::MAX, u64::MAX)] {
+            let got = b.read_range(off, &mut out).unwrap_err();
+            assert_eq!(got, b.load(idx).unwrap_err(), "off {off}");
+        }
+        let mut b = dense(&[0.0; 8]);
+        let err = b.range_mut(6, 4).unwrap_err();
+        assert_eq!(err, b.store(8, 0).unwrap_err());
+        assert_eq!(b, dense(&[0.0; 8]), "nothing written on a fault");
+    }
+
+    #[test]
+    fn range_mut_densifies_small_synthetic_buffers_only() {
+        let mut small = linear(1.0, 1.0, 4);
+        small.range_mut(1, 2).unwrap()[0] = 9.0f64.to_bits();
+        assert_eq!(small, dense(&[1.0, 9.0, 3.0, 4.0]));
+        let mut huge = linear(0.0, 1.0, 1 << 30);
+        assert!(huge.range_mut(0, 0).unwrap().is_empty(), "empty range");
+        assert!(huge.as_dense().is_none(), "an empty range never densifies");
+        assert_eq!(
+            huge.range_mut(0, 1).unwrap_err(),
+            huge.clone().store(0, 0).unwrap_err()
+        );
+    }
+
     #[test]
     fn huge_synthetic_store_is_rejected() {
         let mut b = Buffer {
@@ -754,6 +949,62 @@ mod tests {
         assert_eq!(s.load(2, 1, false).unwrap(), 0);
         s.fence_all();
         assert_eq!(s.load(2, 1, false).unwrap(), 11);
+    }
+
+    #[test]
+    fn smem_fence_after_volatile_overwrite_keeps_the_volatile_value() {
+        let mut s = SharedMem::new(4);
+        s.store(0, 1, 10, false).unwrap();
+        // A volatile store by thread 1 replaces thread 0's pending one.
+        s.store(1, 1, 20, true).unwrap();
+        s.fence(0);
+        assert_eq!(s.load(2, 1, false).unwrap(), 20);
+        assert_eq!(s.load(0, 1, false).unwrap(), 20);
+    }
+
+    #[test]
+    fn smem_restore_after_commit_stays_private_until_the_next_fence() {
+        let mut s = SharedMem::new(4);
+        s.store(0, 2, 1, false).unwrap();
+        s.fence(0);
+        s.store(0, 2, 2, false).unwrap();
+        s.store(1, 3, 7, false).unwrap();
+        assert_eq!(s.load(2, 2, false).unwrap(), 1, "first store committed");
+        s.fence(0);
+        assert_eq!(s.load(2, 2, false).unwrap(), 2, "re-store committed");
+        assert_eq!(s.load(2, 3, false).unwrap(), 0, "thread 1 never fenced");
+    }
+
+    #[test]
+    fn smem_fence_threads_commits_only_the_masked_threads() {
+        let mut s = SharedMem::new(8);
+        for t in 0..4 {
+            s.store(32 + t, t as u64, 100 + t as u64, false).unwrap();
+        }
+        s.store(3, 4, 5, false).unwrap();
+        // Lanes 1 and 3 of the warp starting at thread 32.
+        s.fence_threads(32, 0b1010);
+        let seen: Vec<u64> = (0..5).map(|a| s.load(9, a, false).unwrap()).collect();
+        assert_eq!(seen, vec![0, 101, 0, 103, 0]);
+    }
+
+    #[test]
+    fn smem_fence_all_with_racecheck_commits_every_thread() {
+        let mut s = SharedMem::with_racecheck(4);
+        s.store(0, 0, 1, false).unwrap();
+        s.store(1, 1, 2, false).unwrap();
+        s.store(2, 1, 3, false).unwrap(); // WAW over thread 1's pending store
+        s.fence_all();
+        assert_eq!(s.load(3, 0, false).unwrap(), 1);
+        assert_eq!(s.load(3, 1, false).unwrap(), 3);
+        let (hz, _) = s.take_hazards();
+        assert_eq!(hz.len(), 1, "only the pre-barrier WAW: {hz:?}");
+        assert_eq!(hz[0].kind, HazardKind::Waw);
+        // After the barrier a new store is pending again until a fence.
+        s.store(0, 0, 9, false).unwrap();
+        assert_eq!(s.load(3, 0, false).unwrap(), 1);
+        s.fence_all();
+        assert_eq!(s.load(3, 0, false).unwrap(), 9);
     }
 
     #[test]

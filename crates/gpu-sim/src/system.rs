@@ -473,18 +473,41 @@ impl GpuSystem {
         &mut self.bufs[id.0 as usize]
     }
 
+    /// Copy `words` words from `src` at `src_off` into `dst` at `dst_off`,
+    /// as a forward per-word copy would (see [`Buffer::copy_from`] and, for
+    /// `src == dst`, [`Buffer::copy_within`]).
+    pub fn copy_words(
+        &mut self,
+        dst: BufId,
+        dst_off: u64,
+        src: BufId,
+        src_off: u64,
+        words: u64,
+    ) -> SimResult<()> {
+        let (d, s) = (dst.0 as usize, src.0 as usize);
+        if d == s {
+            return self.bufs[d].copy_within(dst_off, src_off, words);
+        }
+        let (lo, hi) = self.bufs.split_at_mut(d.max(s));
+        let (dst, src) = if d < s {
+            (&mut lo[d], &hi[0])
+        } else {
+            (&mut hi[0], &lo[s])
+        };
+        dst.copy_from(dst_off, src, src_off, words)
+    }
+
     /// Read back a buffer as f64 values.
     pub fn read_f64(&self, id: BufId) -> Vec<f64> {
-        let b = self.buffer(id);
-        (0..b.len())
-            .map(|i| f64::from_bits(b.load(i).unwrap()))
-            .collect()
+        self.read_u64(id).into_iter().map(f64::from_bits).collect()
     }
 
     /// Read back a buffer as raw words.
     pub fn read_u64(&self, id: BufId) -> Vec<u64> {
         let b = self.buffer(id);
-        (0..b.len()).map(|i| b.load(i).unwrap()).collect()
+        let mut out = vec![0; b.len() as usize];
+        b.read_range(0, &mut out).expect("whole buffer is in range");
+        out
     }
 
     /// Does any rank's param list name a buffer on a different device?

@@ -90,15 +90,16 @@ pub fn measure_allreduce(
     let mut h = HostSim::with_threads(sys, n).without_jitter();
     let (grid, block) = phase_grid(arch);
 
-    // Each GPU's vector: v_r[i] = (r+1) * 0.5 + i * 1e-6.
-    let vecs: Vec<BufId> = (0..n)
-        .map(|d| {
-            let vals: Vec<f64> = (0..elems)
-                .map(|i| (d + 1) as f64 * 0.5 + i as f64 * 1e-6)
-                .collect();
-            h.sys.alloc_f64(d, &vals)
-        })
-        .collect();
+    // Each GPU's vector, written in place: v_r[i] = (r+1) * 0.5 + i * 1e-6.
+    let mut vecs: Vec<BufId> = Vec::with_capacity(n);
+    for d in 0..n {
+        let v = h.sys.alloc(d, elems);
+        let words = h.sys.buffer_mut(v).range_mut(0, elems)?;
+        for (w, i) in words.iter_mut().zip(0u64..) {
+            *w = ((d + 1) as f64 * 0.5 + i as f64 * 1e-6).to_bits();
+        }
+        vecs.push(v);
+    }
     let expect = |i: u64| -> f64 {
         (1..=n).map(|r| r as f64 * 0.5).sum::<f64>() + n as f64 * i as f64 * 1e-6
     };
@@ -227,12 +228,13 @@ pub fn measure_allreduce(
     }
     let latency_us = (h.now(0) - t0).as_us();
 
-    // Verify: every GPU holds the elementwise sum.
+    // Verify: every GPU holds the elementwise sum, at sampled words.
     let mut correct = true;
     for &v in &vecs {
-        let data = h.sys.read_f64(v);
-        for (i, got) in data.iter().enumerate().step_by((elems as usize / 7).max(1)) {
-            let want = expect(i as u64);
+        let buf = h.sys.buffer(v);
+        for i in (0..elems).step_by((elems as usize / 7).max(1)) {
+            let got = f64::from_bits(buf.load(i)?);
+            let want = expect(i);
             if (got - want).abs() > 1e-6 * want.abs().max(1.0) {
                 correct = false;
                 break;
@@ -317,10 +319,7 @@ fn mgrid_pull_kernel_fixed() -> Kernel {
     b.bra("peers");
     b.label("done_pull");
     b.multi_grid_sync();
-    // own[i] = scratch[i] + 0: reuse the elementwise loop with own as a
-    // zero source is wrong; instead copy via combine(own = scratch + own*0)…
-    // simplest correct move: own[i] = scratch[i] + zero — the host zeroes
-    // `own` is NOT possible (it holds input). Use per-element store loop.
+    // Write-back: own[i] = scratch[i], grid-stride.
     let i = b.reg();
     let x = b.reg();
     b.mov(i, Sp(Special::GlobalTid));

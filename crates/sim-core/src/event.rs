@@ -11,9 +11,13 @@
 //!
 //! * **4-ary** instead of binary: half the depth, and the up-to-four child
 //!   keys a sift-down inspects sit in one or two cache lines.
-//! * **Parallel arrays**: `(Ps, seq)` keys live in one dense `Vec` and
-//!   payloads in another, so sift comparisons never drag payload bytes
-//!   through the cache.
+//! * **Parallel arrays**: keys live in one dense `Vec` and payloads in
+//!   another, so sift comparisons never drag payload bytes through the
+//!   cache.
+//! * **Packed keys**: a `(time, seq)` key is one `u128`, time in the high
+//!   64 bits and seq in the low. Both halves are `u64`, so integer order is
+//!   exactly the lexicographic `(time, seq)` order, and a key comparison
+//!   is one branch-free 128-bit compare instead of a two-field walk.
 
 use crate::time::Ps;
 
@@ -24,16 +28,24 @@ const D: usize = 4;
 /// A min-heap of timed events with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `(time, seq)` keys, heap-ordered; dense so sifts stay in-cache.
-    keys: Vec<(Ps, u64)>,
+    /// Packed `(time, seq)` keys (see `key`), heap-ordered; dense so sifts
+    /// stay in-cache.
+    keys: Vec<u128>,
     /// Payloads, kept index-parallel with `keys`; never compared.
     payload: Vec<E>,
     seq: u64,
 }
 
+/// The packed heap key of an event at `at` with insertion number `seq`.
 #[inline]
-fn key_lt(a: (Ps, u64), b: (Ps, u64)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+fn key(at: Ps, seq: u64) -> u128 {
+    (at.0 as u128) << 64 | seq as u128
+}
+
+/// The time half of a packed key.
+#[inline]
+fn key_time(k: u128) -> Ps {
+    Ps((k >> 64) as u64)
 }
 
 impl<E> Default for EventQueue<E> {
@@ -53,9 +65,8 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at absolute time `at`.
     pub fn push(&mut self, at: Ps, event: E) {
-        let seq = self.seq;
+        self.keys.push(key(at, self.seq));
         self.seq += 1;
-        self.keys.push((at, seq));
         self.payload.push(event);
         self.sift_up(self.keys.len() - 1);
     }
@@ -66,12 +77,33 @@ impl<E> EventQueue<E> {
         if n == 0 {
             return None;
         }
-        let key = self.keys.swap_remove(0);
+        let k = self.keys.swap_remove(0);
         let ev = self.payload.swap_remove(0);
         if n > 2 {
             self.sift_down(0);
         }
-        Some((key.0, ev))
+        Some((key_time(k), ev))
+    }
+
+    /// Schedule `event` at `at` and remove the earliest event, in one sift.
+    ///
+    /// Returns exactly what `push` followed by `pop` would, and leaves the
+    /// same events queued. Every key is unique (`seq` never repeats), so the
+    /// pair returns the smaller of the new key and the root. When that is
+    /// the new key the heap is untouched. Otherwise the new entry replaces
+    /// the root and a single sift-down restores the heap.
+    pub fn push_pop(&mut self, at: Ps, event: E) -> (Ps, E) {
+        let k = key(at, self.seq);
+        self.seq += 1;
+        match self.keys.first() {
+            Some(&root) if root < k => {
+                self.keys[0] = k;
+                let ev = std::mem::replace(&mut self.payload[0], event);
+                self.sift_down(0);
+                (key_time(root), ev)
+            }
+            _ => (at, event),
+        }
     }
 
     /// Remove and return the earliest event if it is scheduled strictly
@@ -83,19 +115,19 @@ impl<E> EventQueue<E> {
     /// (which can only land at or beyond the horizon) have been exchanged.
     pub fn pop_before(&mut self, horizon: Ps) -> Option<(Ps, E)> {
         match self.keys.first() {
-            Some(&(at, _)) if at < horizon => self.pop(),
+            Some(&k) if key_time(k) < horizon => self.pop(),
             _ => None,
         }
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Ps> {
-        self.keys.first().map(|k| k.0)
+        self.keys.first().map(|&k| key_time(k))
     }
 
     /// The earliest pending event, without removing it.
     pub fn peek(&self) -> Option<(Ps, &E)> {
-        self.keys.first().map(|k| (k.0, &self.payload[0]))
+        self.keys.first().map(|&k| (key_time(k), &self.payload[0]))
     }
 
     pub fn is_empty(&self) -> bool {
@@ -120,7 +152,7 @@ impl<E> EventQueue<E> {
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / D;
-            if !key_lt(self.keys[i], self.keys[parent]) {
+            if self.keys[i] >= self.keys[parent] {
                 break;
             }
             self.swap(i, parent);
@@ -139,12 +171,12 @@ impl<E> EventQueue<E> {
             let mut child_key = self.keys[first];
             for c in first + 1..(first + D).min(n) {
                 let k = self.keys[c];
-                if key_lt(k, child_key) {
+                if k < child_key {
                     child = c;
                     child_key = k;
                 }
             }
-            if !key_lt(child_key, self.keys[i]) {
+            if child_key >= self.keys[i] {
                 break;
             }
             self.swap(i, child);
@@ -222,10 +254,40 @@ mod tests {
         assert_eq!(q.pop(), Some((Ps(12), 3)));
     }
 
-    /// Property test: seeded interleaved push/pop with *heavily duplicated*
-    /// timestamps replays in exactly the order a stable sort by arrival
-    /// would produce — the FIFO-at-equal-times contract the whole engine's
-    /// determinism rests on.
+    #[test]
+    fn packed_keys_order_the_whole_time_range() {
+        let mut q = EventQueue::new();
+        q.push(Ps::MAX, 'c');
+        q.push(Ps(u64::MAX - 1), 'b');
+        q.push(Ps::MAX, 'd');
+        q.push(Ps(0), 'a');
+        let order: Vec<(Ps, char)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (Ps(0), 'a'),
+                (Ps(u64::MAX - 1), 'b'),
+                (Ps::MAX, 'c'),
+                (Ps::MAX, 'd')
+            ]
+        );
+    }
+
+    #[test]
+    fn push_pop_returns_the_earlier_of_new_and_root() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.push_pop(Ps(4), "x"), (Ps(4), "x"), "empty queue");
+        q.push(Ps(10), "a");
+        assert_eq!(q.push_pop(Ps(5), "b"), (Ps(5), "b"), "earlier than root");
+        assert_eq!(q.push_pop(Ps(10), "c"), (Ps(10), "a"), "tie: root first");
+        assert_eq!(q.pop(), Some((Ps(10), "c")));
+        assert!(q.is_empty());
+    }
+
+    /// Property test: seeded interleaved push, pop and push_pop with
+    /// *heavily duplicated* timestamps replay in exactly the order a stable
+    /// sort by arrival would produce — the FIFO-at-equal-times contract the
+    /// whole engine's determinism rests on.
     #[test]
     fn fifo_replay_matches_stable_model_under_duplicates() {
         // xorshift64* — deterministic, no external deps.
@@ -245,7 +307,17 @@ mod tests {
             let mut model: Vec<(Ps, u64)> = Vec::new();
             let mut next_id = 0u64;
             for _ in 0..400 {
-                if rng() % 3 != 0 || model.is_empty() {
+                let op = rng() % 4;
+                if op == 3 {
+                    // push_pop: the model pushes, then takes its minimum.
+                    let t = Ps(round + rng() % 4);
+                    model.push((t, next_id));
+                    let got = q.push_pop(t, next_id);
+                    next_id += 1;
+                    let min_t = model.iter().map(|e| e.0).min().unwrap();
+                    let pos = model.iter().position(|e| e.0 == min_t).unwrap();
+                    assert_eq!(got, model.remove(pos), "round {round} push_pop");
+                } else if op != 0 || model.is_empty() {
                     // Only 4 distinct times: duplicates are the common case.
                     let t = Ps(round + rng() % 4);
                     q.push(t, next_id);
