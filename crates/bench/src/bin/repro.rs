@@ -5,9 +5,6 @@
 //! repro all                   # run everything (slow but complete)
 //! repro table2 fig5 ...       # run specific artifacts
 //! repro --jobs 8 all          # run the registry (and inner sweeps) on 8 workers
-//! repro --shards 4 fig9       # drive each multi-device launch on 4 shard
-//!                             # workers (one discrete-event shard per rank;
-//!                             # artifacts are byte-identical at any value)
 //! repro --out results all     # additionally write one .txt per artifact
 //! repro --check               # synchronization-hazard audit; exits nonzero
 //!                             # on any unsuppressed violation (the CI gate)
@@ -61,7 +58,7 @@ use syncmark_bench::profiling;
 
 fn usage_and_list() {
     println!(
-        "usage: repro [--jobs N] [--shards N] [--out DIR] [--check] [--scorecard] \
+        "usage: repro [--jobs N] [--out DIR] [--check] [--scorecard] \
          [--scorecard-gate PATH] [--bench] [--faults SEED] \
          [--profile NAME]... [all | list | <experiment>...]\n"
     );
@@ -139,21 +136,6 @@ fn main() {
             }
         };
         sync_micro::sweep::Sweep::set_default_jobs(n);
-        args.drain(pos..pos + 2);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--shards") {
-        if pos + 1 >= args.len() {
-            eprintln!("--shards requires a worker count (0 = single-queue engine)");
-            std::process::exit(2);
-        }
-        let n: usize = match args[pos + 1].parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--shards requires a number, got {:?}", args[pos + 1]);
-                std::process::exit(2);
-            }
-        };
-        gpu_sim::set_default_shards(n);
         args.drain(pos..pos + 2);
     }
     // The per-artifact output flags were unified under `--out DIR`; reject
@@ -258,11 +240,10 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "[repro] wrote {} ({} experiments, {} worker(s), {} shard(s))",
+            "[repro] wrote {} ({} experiments, {} worker(s))",
             path.display(),
             records.len(),
-            sync_micro::sweep::jobs(),
-            gpu_sim::default_shards()
+            sync_micro::sweep::jobs()
         );
         if args.is_empty() {
             return;
@@ -387,6 +368,13 @@ fn main() {
     // own cell-level sweeps on the same worker setting). A panic inside one
     // runner is contained to its cell: the rest still complete, partial
     // results still land in --out, and the failure is reported at the end.
+    // Pad progress names to the longest registry name so the time column
+    // lines up whatever subset runs.
+    let width = EXPERIMENTS
+        .iter()
+        .map(|(n, _, _)| n.len())
+        .max()
+        .unwrap_or(0);
     let wall = Instant::now();
     let results = sync_micro::sweep::Sweep::new().run(selected, |(name, _, f)| {
         let t = Instant::now();
@@ -398,7 +386,7 @@ fn main() {
                 .unwrap_or_else(|| "non-string panic payload".to_string())
         });
         let dt = t.elapsed();
-        eprintln!("[repro] {name:<12} {:8.2}s", dt.as_secs_f64());
+        eprintln!("[repro] {name:<width$} {:8.2}s", dt.as_secs_f64());
         (*name, out)
     });
     let mut failed = Vec::new();

@@ -9,11 +9,10 @@
 //! under `--out <dir>`.
 //!
 //! `wall_ms` and `instrs_per_sec` are machine-dependent; `experiment`,
-//! `instrs_executed`, and `jobs`/`shards`-invariance of the instruction
-//! counts are deterministic — CI diffs `instrs_executed` between `--jobs 1`
-//! and `--jobs 8` runs and between `--shards 1` and `--shards 4` runs to
-//! prove the parallel sweep engine and the intra-launch sharded engine
-//! simulate exactly the same work.
+//! `instrs_executed`, and `jobs`-invariance of the instruction counts are
+//! deterministic — CI diffs `instrs_executed` between `--jobs 1` and
+//! `--jobs 8` runs to prove the parallel sweep engine simulates exactly the
+//! same work at any worker count.
 
 use gpu_arch::GpuArch;
 use gpu_sim::kernels::SyncOp;
@@ -39,9 +38,6 @@ pub struct BenchRecord {
     pub instrs_per_sec: f64,
     /// Worker count the sweeps ran on.
     pub jobs: usize,
-    /// Intra-launch shard workers multi-device launches ran on
-    /// (`--shards`; 0 = single-queue engine).
-    pub shards: usize,
 }
 
 /// The sweep bench's workload: the Fig. 5 grid-sync heatmap on a cut-down
@@ -85,7 +81,6 @@ pub const SUITE: &[BenchCase] = &[
 /// Run the suite, reporting per-experiment throughput on stderr.
 pub fn run_suite() -> Vec<BenchRecord> {
     let jobs = sweep::jobs();
-    let shards = gpu_sim::default_shards();
     SUITE
         .iter()
         .map(|&(name, f)| {
@@ -107,7 +102,6 @@ pub fn run_suite() -> Vec<BenchRecord> {
                 instrs_executed: instrs,
                 instrs_per_sec: ips,
                 jobs,
-                shards,
             }
         })
         .collect()
@@ -141,7 +135,6 @@ mod tests {
             instrs_executed: 10,
             instrs_per_sec: 6666.6,
             jobs: 2,
-            shards: 4,
         }]);
         for field in [
             "experiment",
@@ -149,7 +142,6 @@ mod tests {
             "instrs_executed",
             "instrs_per_sec",
             "jobs",
-            "shards",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

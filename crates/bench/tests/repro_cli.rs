@@ -314,39 +314,40 @@ fn removed_output_flags_are_rejected_with_a_pointer() {
     }
 }
 
+/// Every `[repro] <name> <secs>s` progress line ends its right-aligned
+/// time column at the same offset, however long the names in the run are.
 #[test]
-fn bad_shards_value_is_rejected() {
-    let r = repro()
-        .args(["--shards", "many", "table7"])
-        .output()
-        .unwrap();
-    assert_eq!(r.status.code(), Some(2));
+fn progress_lines_align_their_time_column() {
+    let names = [
+        "table1",
+        "sync_recovery",
+        "sync_resilience",
+        "fused_pipeline",
+    ];
+    let r = repro().args(["--jobs", "2"]).args(names).output().unwrap();
+    assert!(r.status.success(), "run failed");
     let stderr = String::from_utf8_lossy(&r.stderr);
-    assert!(stderr.contains("--shards"), "{stderr}");
-}
-
-/// `--shards` must not change a single byte of any experiment artifact:
-/// the sharded engine's determinism contract, observed end-to-end through
-/// the CLI on the multi-device figure-9 experiment.
-#[test]
-fn shards_flag_leaves_experiment_output_byte_identical() {
-    let d0 = std::env::temp_dir().join("syncmark-repro-cli-shards-0");
-    let d4 = std::env::temp_dir().join("syncmark-repro-cli-shards-4");
-    let mut outs = Vec::new();
-    for (shards, dir) in [("0", &d0), ("4", &d4)] {
-        let _ = std::fs::remove_dir_all(dir);
-        let r = repro()
-            .args(["--shards", shards, "--out", dir.to_str().unwrap(), "fig9"])
-            .output()
-            .unwrap();
-        assert!(r.status.success(), "fig9 failed at --shards {shards}");
-        outs.push((
-            String::from_utf8_lossy(&r.stdout).into_owned(),
-            std::fs::read(dir.join("fig9.txt")).unwrap(),
-        ));
-    }
-    assert_eq!(outs[0].0, outs[1].0, "stdout must not depend on --shards");
-    assert_eq!(outs[0].1, outs[1].1, "fig9.txt must not depend on --shards");
-    let _ = std::fs::remove_dir_all(&d0);
-    let _ = std::fs::remove_dir_all(&d4);
+    let ends: Vec<usize> = stderr
+        .lines()
+        .filter(|l| {
+            let mut fields = l.split_whitespace();
+            fields.next() == Some("[repro]")
+                && fields.next().is_some_and(|n| names.contains(&n))
+                && fields
+                    .next()
+                    .and_then(|t| t.strip_suffix('s'))
+                    .is_some_and(|t| t.parse::<f64>().is_ok())
+                && fields.next().is_none()
+        })
+        .map(str::len)
+        .collect();
+    assert_eq!(
+        ends.len(),
+        names.len(),
+        "one progress line per name: {stderr}"
+    );
+    assert!(
+        ends.iter().all(|&e| e == ends[0]),
+        "time columns misaligned: {stderr}"
+    );
 }

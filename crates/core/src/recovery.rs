@@ -21,7 +21,7 @@
 //! (failed attempts + seeded backoff + the successful run) relative to
 //! the healthy fault-free run at the same GPU count. Every quantity is
 //! simulated time from counter-based draws, so the whole table is
-//! byte-identical at any `--jobs`/`--shards` value.
+//! byte-identical at any `--jobs` value.
 
 use crate::measure::{sync_chain_run, Placement};
 use crate::report::{fmt, TextTable};

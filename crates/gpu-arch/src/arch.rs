@@ -486,30 +486,6 @@ impl GpuArch {
             .blocks_per_sm
             * self.num_sms
     }
-
-    /// How many SM clusters an intra-device sharded execution partitions this
-    /// device into. SM `s` belongs to cluster `s % count`; a block never
-    /// migrates off the SM it was placed on, so every cluster's event stream
-    /// stays private. Grouping SMs GPC-style (rather than one cluster per
-    /// SM) bounds the sharded engine's per-round coordination cost on big
-    /// parts: an 80-SM V100 coordinates 10 clusters, not 80 engines.
-    pub fn sm_cluster_count(&self) -> u32 {
-        self.num_sms.min(10)
-    }
-
-    /// Lower bound, in cycles, on the latency of any cross-SM synchronization
-    /// round trip on this device: the barrier unit's per-block arrival
-    /// minimum, intra-block convergence, the grid-barrier arrival atomic's
-    /// L2 round trip, and the release flag's L2 read. This is the intra-device
-    /// sharding lookahead — no signal produced by one SM can become visible to
-    /// another in less simulated time than this.
-    pub fn intra_device_sync_floor_cycles(&self) -> f64 {
-        let t = &self.timing;
-        t.block_sync_arrival_cycles
-            + t.block_sync_latency as f64
-            + t.global_atomic_latency as f64
-            + self.memory.l2_latency as f64
-    }
 }
 
 #[cfg(test)]
@@ -577,21 +553,6 @@ mod tests {
         // 48 KiB static shared memory per block: only 2 fit in 96 KiB.
         let o = v.occupancy(64, 48 * 1024);
         assert_eq!(o.blocks_per_sm, 2);
-    }
-
-    #[test]
-    fn cluster_accessors() {
-        let v = GpuArch::v100();
-        assert_eq!(v.sm_cluster_count(), 10);
-        // V100: 2.1 + 20 + 1140 + 200 cycles.
-        assert!((v.intra_device_sync_floor_cycles() - 1362.1).abs() < 1e-9);
-        let p = GpuArch::p100();
-        assert_eq!(p.sm_cluster_count(), 10);
-        assert!(p.intra_device_sync_floor_cycles() > 0.0);
-        // Small parts keep one cluster per SM.
-        let mut small = GpuArch::v100();
-        small.num_sms = 4;
-        assert_eq!(small.sm_cluster_count(), 4);
     }
 
     #[test]

@@ -322,74 +322,10 @@ pub(crate) struct Engine<'a> {
     /// Last simulated time any warp advanced its `max_pc` watermark (or
     /// retired lanes). Only maintained while the watchdog is armed.
     last_progress_at: Ps,
-    /// `Some` when this engine is one rank-shard of a sharded run (see
-    /// [`crate::shard`]): it simulates only its rank's blocks, rejects
-    /// cross-device data access, and parks multi-grid arrivals for the
-    /// coordinator instead of resolving them locally.
-    shard: Option<ShardState>,
-    /// Exclusive upper bound on how far the run-ahead fast path may advance
-    /// simulated time. `Ps::MAX` (the single-queue engine) disables the
-    /// bound; a shard's coordinator resets it to each round's horizon.
-    window_limit: Ps,
     /// Test builds only: send every global access down the per-lane path,
     /// so the differential tests can run one launch through both paths.
     #[cfg(test)]
     per_lane_only: bool,
-}
-
-/// Per-shard state of one shard of a sharded run: either one rank of a
-/// multi-device launch, or one SM cluster of a single-device launch.
-struct ShardState {
-    /// The one launch rank this engine owns.
-    rank: u32,
-    /// That rank's device id; any other device's memory is off-limits.
-    device_id: usize,
-    /// `Some(cluster)` when this shard is one SM cluster of a single-device
-    /// launch: it simulates only the blocks resident on SMs `s` with
-    /// `s % clusters == cluster`, parks grid-barrier arrivals in
-    /// `grid_arrivals` for the coordinator, and defers global stores through
-    /// `store_log` (the cross-shard memory window protocol — see
-    /// [`crate::shard`]).
-    sm: Option<u32>,
-    /// Total cluster count of the run (`GpuArch::sm_cluster_count`); 0 in
-    /// by-rank mode.
-    clusters: u32,
-    /// The rank's pending multi-grid arrival: local completion time, parked
-    /// until the coordinator has seen every rank arrive and injects the
-    /// release (quiescent rendezvous — see [`crate::shard`]).
-    mgrid_arrival: Option<Ps>,
-    /// Cluster mode: parked grid/multi-grid barrier arrivals — `(firing
-    /// time, local convergence time, engine-global block index, is
-    /// multi-grid)` — drained by the coordinator at round boundaries and
-    /// replayed against its device-level L2 replica in the single queue's
-    /// deterministic `(firing time, block)` order.
-    grid_arrivals: Vec<(Ps, Ps, u32, bool)>,
-    /// Cluster mode: deferred global-memory stores `(issue time, buffer,
-    /// index, value)`. Stores are fire-and-forget in the timing model, so
-    /// deferring their data effect to the quiescent merge is exact; the
-    /// bounds check still runs at execution time against the owner's length
-    /// so error values match the single-queue engine byte for byte.
-    store_log: Vec<(Ps, usize, u64, u64)>,
-}
-
-/// Everything one shard contributes to the merged run artifacts, extracted
-/// by [`Engine::finish_shard`] after the coordinator declared the run
-/// complete. Field order of the merged artifacts is rank-major, which is
-/// exactly the order the single-queue engine produces.
-pub(crate) struct ShardParts {
-    /// Time the owned rank's grid drained.
-    pub(crate) end_time: Ps,
-    pub(crate) warps_run: u64,
-    pub(crate) instrs_executed: u64,
-    pub(crate) trace: Vec<TraceEvent>,
-    pub(crate) hazards: HazardReport,
-    /// The owned rank's per-SM profile rows (empty unless profiling).
-    pub(crate) sm_rows: Vec<SmProfile>,
-    pub(crate) epochs: Vec<BarrierEpoch>,
-    pub(crate) epochs_dropped: u64,
-    /// Cluster mode: the shard's deferred global stores, applied to the
-    /// owning system's buffers by the coordinator in `(time, cluster)` order.
-    pub(crate) store_log: Vec<(Ps, usize, u64, u64)>,
 }
 
 /// Armed fault-injection state derived from a non-zero [`FaultPlan`].
@@ -568,54 +504,9 @@ impl<'a> Engine<'a> {
             fault: None,
             watchdog: None,
             last_progress_at: Ps::ZERO,
-            shard: None,
-            window_limit: Ps::MAX,
             #[cfg(test)]
             per_lane_only: false,
         }
-    }
-
-    /// Restrict this engine to simulating launch rank `rank` as one shard
-    /// of a rank-sharded run: `setup` schedules only that rank's blocks,
-    /// cross-device buffer access fails with a structured error, a
-    /// multi-grid arrival parks in the shard's outbox for the coordinator,
-    /// and watchdog / deadlock detection move to the coordinator's round
-    /// boundaries (the in-shard instruction-limit backstop stays — a
-    /// per-shard count over the limit implies the global sum is too).
-    pub(crate) fn sharded(mut self, rank: usize) -> Self {
-        self.shard = Some(ShardState {
-            rank: rank as u32,
-            device_id: self.launch.devices[rank],
-            sm: None,
-            clusters: 0,
-            mgrid_arrival: None,
-            grid_arrivals: Vec::new(),
-            store_log: Vec::new(),
-        });
-        self
-    }
-
-    /// Restrict this engine to simulating the blocks resident on SM cluster
-    /// `cluster` (the SMs `s` with `s % clusters == cluster`) of a
-    /// single-device launch, as one shard of a cluster-sharded run (see
-    /// [`crate::shard`]): `setup` schedules only those SMs' blocks, global
-    /// stores defer through the store log, grid/multi-grid barrier arrivals
-    /// park in the cluster's outbox for the coordinator, and watchdog /
-    /// deadlock detection move to the coordinator's round boundaries exactly
-    /// as in rank-sharded mode.
-    pub(crate) fn sharded_by_cluster(mut self, cluster: u32, clusters: u32) -> Self {
-        debug_assert_eq!(self.launch.devices.len(), 1);
-        debug_assert!(cluster < clusters);
-        self.shard = Some(ShardState {
-            rank: 0,
-            device_id: self.launch.devices[0],
-            sm: Some(cluster),
-            clusters,
-            mgrid_arrival: None,
-            grid_arrivals: Vec::new(),
-            store_log: Vec::new(),
-        });
-        self
     }
 
     /// Enable tracing of up to `cap` executed instructions.
@@ -729,7 +620,7 @@ impl<'a> Engine<'a> {
         self.finish()
     }
 
-    pub(crate) fn instr_limit_error(&self) -> SimError {
+    fn instr_limit_error(&self) -> SimError {
         let limit = self.sys.instr_limit;
         SimError::ProgramError(format!(
             "kernel {:?} exceeded {limit} instructions — non-terminating?",
@@ -737,176 +628,9 @@ impl<'a> Engine<'a> {
         ))
     }
 
-    // ----- shard protocol (see `crate::shard`) ---------------------------------
-
-    /// Build the engine's static state (blocks, devices, initial wave).
-    /// `run_full` calls this itself; a shard's coordinator calls it once per
-    /// shard before the first round.
-    pub(crate) fn setup_shard(&mut self) {
-        debug_assert!(self.shard.is_some());
-        self.setup();
-    }
-
-    /// One conservative time-window round: drain every local event strictly
-    /// before `horizon`. Cross-shard effects (multi-grid releases) are
-    /// injected by the coordinator between rounds and always land at or
-    /// beyond the horizon, so a round never misses a causally earlier event.
-    pub(crate) fn run_window(&mut self, horizon: Ps) -> SimResult<()> {
-        self.window_limit = horizon;
-        while let Some((t, ev)) = self.q.pop_before(horizon) {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            match ev {
-                Ev::WarpStep(w, gen) => {
-                    if self.warps[w as usize].gen == gen && !self.warps[w as usize].done {
-                        if let Some(at) = self.run_warp(w)? {
-                            self.schedule_warp(w, at);
-                        }
-                    }
-                }
-                Ev::StartBlock(b) => self.start_block(b),
-            }
-            if self.instrs_executed > self.sys.instr_limit {
-                return Err(self.instr_limit_error());
-            }
-        }
-        Ok(())
-    }
-
-    /// Time of this shard's earliest pending event (the coordinator's `m`).
-    pub(crate) fn next_event_time(&self) -> Option<Ps> {
-        self.q.peek_time()
-    }
-
-    /// Simulated time of the last event this shard processed.
-    pub(crate) fn now_ps(&self) -> Ps {
-        self.now
-    }
-
-    pub(crate) fn last_progress_ps(&self) -> Ps {
-        self.last_progress_at
-    }
-
-    pub(crate) fn instrs(&self) -> u64 {
-        self.instrs_executed
-    }
-
-    /// Take the owned rank's pending multi-grid arrival, if any.
-    pub(crate) fn take_mgrid_arrival(&mut self) -> Option<Ps> {
-        self.shard.as_mut().and_then(|s| s.mgrid_arrival.take())
-    }
-
-    /// Coordinator-injected multi-grid release for this shard's rank. The
-    /// release time comes from [`Engine::mgrid_release_times`], so sharded
-    /// timings are bit-identical to the single-queue engine's.
-    pub(crate) fn inject_mgrid_release(&mut self, release: Ps) {
-        let rank = self.shard.as_ref().expect("sharded engine").rank as usize;
-        self.release_grid(rank, release, true);
-    }
-
-    // ----- SM-cluster shard protocol -------------------------------------------
-
-    /// Take the cluster's parked grid/multi-grid barrier arrivals
-    /// (`(firing time, local convergence time, block, is multi-grid)`).
-    pub(crate) fn take_grid_arrivals(&mut self) -> Vec<(Ps, Ps, u32, bool)> {
-        match &mut self.shard {
-            Some(s) if !s.grid_arrivals.is_empty() => std::mem::take(&mut s.grid_arrivals),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Replay one block's grid-barrier arrival atomic on the coordinator's
-    /// device-level L2 replica: the exact issue the single-queue engine
-    /// performs in [`Engine::block_arrives_at_grid`], with `spinning` leaders
-    /// already parked on the release flag. Returns the atomic's completion.
-    pub(crate) fn grid_arrival_issue(&self, l2: &mut Pipeline, local: Ps, spinning: u64) -> Ps {
-        let t = &self.arch.timing;
-        let interval = t.l2_atomic_interval * (1.0 + t.poll_contention_per_block * spinning as f64);
-        let int_ps = self.cyc(interval);
-        l2.issue(local, int_ps, self.lat.global_atomic).done
-    }
-
-    /// Coordinator-injected grid (or degenerate single-device multi-grid)
-    /// release for this cluster's blocks. `wakes` carries `(block, arrival
-    /// atomic completion)` for the blocks this cluster owns; the per-block
-    /// wake math is shared with [`Engine::release_grid`] so timings are
-    /// bit-identical to the single-queue engine. Only the SM-0 cluster emits
-    /// the release epoch — the single-queue engine emits exactly one.
-    pub(crate) fn inject_grid_release(
-        &mut self,
-        release_flag: Ps,
-        wakes: &[(u32, Ps)],
-        mgrid: bool,
-    ) {
-        self.grace_sync();
-        let t = self.arch.timing.clone();
-        let per_warp = if mgrid {
-            t.mgrid_release_per_warp
-        } else {
-            t.grid_release_per_warp
-        };
-        let scope = if mgrid {
-            SyncScope::MultiGrid
-        } else {
-            SyncScope::Grid
-        };
-        if self.shard.as_ref().is_some_and(|s| s.sm == Some(0)) {
-            self.prof_epoch(0, scope, release_flag);
-        }
-        // A single-device barrier never pays the cross-device per-block
-        // system-scope fence cost (see `release_grid`), so block wake times
-        // are independent of release order and each cluster can wake its own
-        // blocks without global coordination.
-        for &(gb, atomic_done) in wakes {
-            self.wake_grid_block(gb, atomic_done, release_flag, per_warp, Ps::ZERO);
-        }
-    }
-
-    /// The safe lookahead per round of a cluster-sharded run: the minimum
-    /// intra-device cross-cluster round trip. The only cross-cluster effect
-    /// is a grid-barrier release, and any release wake is at least one
-    /// barrier-unit arrival slot, one block-sync convergence, one L2 atomic
-    /// round trip, and one L2 release-flag read past the arrival event that
-    /// triggered it — see METHODOLOGY §16 for the bound's derivation. Each
-    /// term is the already-rounded `LatTab` value the engine actually
-    /// charges, so the bound is exact, not merely conservative.
-    pub(crate) fn cluster_lookahead(&self) -> Ps {
-        let l = self.lat.block_arr_int + self.lat.block_sync + self.lat.global_atomic + self.lat.l2;
-        if l.is_zero() {
-            Ps(1)
-        } else {
-            l
-        }
-    }
-
-    /// The safe lookahead per round: the minimum flag latency between any
-    /// two distinct participating devices (under the degraded topology when
-    /// links are faulted). Any cross-shard effect costs at least one such
-    /// hop *each way* past the triggering arrival, so a horizon of
-    /// `m + lookahead` can never cut a causally earlier event off — see
-    /// METHODOLOGY §15 for the bound's derivation.
-    pub(crate) fn shard_lookahead(&self) -> Ps {
-        let topo = self.topo();
-        let mut min = Ps::MAX;
-        for &a in &self.launch.devices {
-            for &b in &self.launch.devices {
-                if a != b {
-                    min = min.min(topo.flag_latency(a, b));
-                }
-            }
-        }
-        if min == Ps::MAX || min == Ps::ZERO {
-            Ps(1)
-        } else {
-            min
-        }
-    }
-
     /// Multi-grid release times from every rank's local arrival time — the
     /// master-device flag exchange of the paper's multi-grid barrier (§VI).
-    /// Shared by the single-queue path and the shard coordinator so both
-    /// produce identical simulated timings.
-    pub(crate) fn mgrid_release_times(&self, arrivals: &[Ps]) -> Vec<Ps> {
+    fn mgrid_release_times(&self, arrivals: &[Ps]) -> Vec<Ps> {
         let topo = match &self.fault {
             Some(f) => f
                 .degraded
@@ -943,19 +667,14 @@ impl<'a> Engine<'a> {
     /// barrier-release wake) goes stale just as it would on the slow path.
     ///
     /// Returns the time the warp must be scheduled at when it cannot run
-    /// ahead; the caller pushes that step (`run_window`) or fuses the push
-    /// with its next pop (`run_full`).
+    /// ahead; `run_full` fuses that push with its next pop.
     fn run_warp(&mut self, w: u32) -> SimResult<Option<Ps>> {
         let mut next = self.step_warp(w)?;
         while let Some(at) = next {
-            // In a sharded round the window horizon bounds the fast path
-            // too: a step at or beyond it must round-trip through the queue
-            // so the coordinator can exchange cross-shard effects first.
-            let ahead = at < self.window_limit
-                && match self.q.peek_time() {
-                    None => true,
-                    Some(t) => at < t,
-                };
+            let ahead = match self.q.peek_time() {
+                None => true,
+                Some(t) => at < t,
+            };
             if !ahead {
                 return Ok(Some(at));
             }
@@ -982,14 +701,8 @@ impl<'a> Engine<'a> {
     #[inline]
     fn watchdog_expired(&self) -> bool {
         match self.watchdog {
-            // One shard can't tell a livelock from waiting on another
-            // shard's progress: under sharding the budget is checked by the
-            // coordinator at round boundaries against *global* progress.
-            // The budget stays armed so progress tracking keeps running.
-            Some(budget) if self.shard.is_none() => {
-                self.now.saturating_sub(self.last_progress_at) > budget
-            }
-            _ => false,
+            Some(budget) => self.now.saturating_sub(self.last_progress_at) > budget,
+            None => false,
         }
     }
 
@@ -1005,16 +718,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Fingerprint of the armed fault plan (`None` when unfaulted), stamped
-    /// into the Deadlock/Watchdog errors this engine — or the shard
-    /// coordinator merging several engines — constructs.
-    pub(crate) fn fault_fingerprint(&self) -> Option<sim_core::FaultFingerprint> {
+    /// into the Deadlock/Watchdog errors this engine constructs.
+    fn fault_fingerprint(&self) -> Option<sim_core::FaultFingerprint> {
         self.fault.as_ref().map(|f| f.plan.fingerprint())
     }
 
     /// Every unfinished warp with its PC and wait kind, sorted by
-    /// (rank, sm, block, warp) — the shard coordinator merges these across
-    /// shards for its boundary watchdog check.
-    pub(crate) fn stuck_warps(&self) -> Vec<StuckWarp> {
+    /// (rank, sm, block, warp).
+    fn stuck_warps(&self) -> Vec<StuckWarp> {
         let mut stuck: Vec<StuckWarp> = self
             .warps
             .iter()
@@ -1279,37 +990,14 @@ impl<'a> Engine<'a> {
         // Every block's warps are pushed exactly once; reserving up front
         // avoids doubling-growth copies of the (large) `Warp` structs.
         let warps_per_block = self.arch.warps_per_block(self.launch.block_dim) as usize;
-        let blocks_run = match &self.shard {
-            // An SM cluster owns only the blocks resident on its SMs.
-            Some(s) if s.sm.is_some() => (0..self.launch.grid_dim)
-                .filter(|b| (b % self.arch.num_sms) % s.clusters == s.sm.unwrap())
-                .count(),
-            Some(_) => self.launch.grid_dim as usize,
-            None => self.launch.grid_dim as usize * nranks,
-        };
-        self.warps.reserve(blocks_run * warps_per_block);
-        // Initial wave: fill residency round-robin; queue the rest. A shard
-        // creates every rank's block records (engine-global block indices
-        // stay `rank * grid_dim + b` everywhere) but schedules only its own
-        // rank's wave — other ranks' blocks never start here. An SM-cluster
-        // shard narrows further to its own SM's blocks.
+        self.warps
+            .reserve(self.launch.grid_dim as usize * nranks * warps_per_block);
+        // Initial wave: fill residency round-robin; queue the rest.
         for rank in 0..nranks {
-            if let Some(s) = &self.shard {
-                if s.rank as usize != rank {
-                    continue;
-                }
-            }
             let base = rank as u32 * self.launch.grid_dim;
             for b in 0..self.launch.grid_dim {
                 let gb = base + b;
                 let sm = self.blocks[gb as usize].sm as usize;
-                if let Some(s) = &self.shard {
-                    if s.sm
-                        .is_some_and(|own| own as usize != sm % s.clusters as usize)
-                    {
-                        continue;
-                    }
-                }
                 if self.devs[rank].resident[sm] < self.devs[rank].max_resident_per_sm {
                     self.devs[rank].resident[sm] += 1;
                     self.prof_note_resident(rank, sm);
@@ -1785,19 +1473,16 @@ impl<'a> Engine<'a> {
     }
 
     /// The warp-uniform fast path's buffer: the index `src` names for every
-    /// lane of `group`, when the checks the per-lane path repeats per lane
-    /// all pass once — the id resolves, the shard may touch its device —
-    /// and the buffer is dense. `None` sends the instruction down the
-    /// per-lane path, which also reports any fault.
+    /// lane of `group`, when the id resolves and the buffer is dense — the
+    /// checks the per-lane path repeats per lane. `None` sends the
+    /// instruction down the per-lane path, which also reports any fault.
     fn uniform_dense_buf(&self, w: u32, group: u32, src: AluSrc) -> Option<usize> {
         #[cfg(test)]
         if self.per_lane_only {
             return None;
         }
         let b = self.uniform_val(w, group, src)? as usize;
-        let buffer = self.sys.bufs.get(b)?;
-        shard_guard(&self.shard, buffer.device).ok()?;
-        buffer.as_dense().map(|_| b)
+        self.sys.bufs.get(b)?.as_dense().map(|_| b)
     }
 
     /// Unary ALU op: `d = f(a)` for every lane in `group`.
@@ -2049,7 +1734,6 @@ impl<'a> Engine<'a> {
                             self.sys.bufs.get(b).ok_or_else(|| {
                                 SimError::MemoryFault(format!("bad buffer id {b}"))
                             })?;
-                        shard_guard(&self.shard, buffer.device)?;
                         remote |= buffer.device != self.devs[warp_rank].device_id;
                         vals[(lane & 31) as usize] = buffer.load(i)?;
                     }
@@ -2096,13 +1780,7 @@ impl<'a> Engine<'a> {
                     );
                     n += 1;
                 }
-                let cluster = self.shard.as_ref().is_some_and(|s| s.sm.is_some());
-                let fast = if cluster {
-                    None
-                } else {
-                    self.uniform_dense_buf(w, group, rb)
-                };
-                if let Some(b) = fast {
+                if let Some(b) = self.uniform_dense_buf(w, group, rb) {
                     let data = self.sys.bufs[b].as_dense_mut().expect("dense buffer");
                     for &(_, i, v) in &stores[..n] {
                         match data.get_mut(i as usize) {
@@ -2116,21 +1794,7 @@ impl<'a> Engine<'a> {
                             self.sys.bufs.get_mut(b).ok_or_else(|| {
                                 SimError::MemoryFault(format!("bad buffer id {b}"))
                             })?;
-                        shard_guard(&self.shard, buffer.device)?;
-                        if cluster {
-                            // Cluster shards hold len-only window placeholders
-                            // for store targets: log the store for the
-                            // coordinator's ordered merge-back, after the
-                            // bounds check the dense buffer would have applied.
-                            buffer.check("store", i)?;
-                            self.shard
-                                .as_mut()
-                                .expect("cluster shard")
-                                .store_log
-                                .push((start, b, i, v));
-                        } else {
-                            buffer.store(i, v)?;
-                        }
+                        buffer.store(i, v)?;
                     }
                 }
                 if let Some(mut g) = self.grace.take() {
@@ -2167,7 +1831,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get_mut(b)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     let old = f64::from_bits(buffer.load(i)?);
                     buffer.store(i, (old + v).to_bits())?;
                     if let Some(d) = dst_old {
@@ -2202,7 +1865,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get_mut(b)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     let old = buffer.load(i)?;
                     let exchanged = old == c;
                     if exchanged {
@@ -2249,7 +1911,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get_mut(b)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     let old = buffer.load(i)?;
                     buffer.store(i, v)?;
                     if let Some(d) = dst_old {
@@ -2282,7 +1943,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get_mut(b)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     let old = buffer.load(i)?;
                     buffer.store(i, old.wrapping_add(v))?;
                     if let Some(d) = dst_old {
@@ -2314,7 +1974,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get_mut(b)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     if buffer.load(i)? < t {
                         satisfied = false;
                     }
@@ -2359,7 +2018,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get_mut(b)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     buffer.store(i, v)?;
                 }
                 self.grace_sync();
@@ -2544,7 +2202,6 @@ impl<'a> Engine<'a> {
                         .bufs
                         .get(buf)
                         .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {buf}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
                     if n > buffer.len() {
                         return Err(combine_cap_fault(n, buffer.len()));
                     }
@@ -2581,9 +2238,9 @@ impl<'a> Engine<'a> {
     }
 
     /// The warp-uniform `MemCombine`: every lane names the same three dense
-    /// buffers `[dst, a, b]`, already resolved and shard-checked once. It
-    /// applies when all lanes share the stride `k` and the cap `n` and the
-    /// group's `m` starts are consecutive from `s0`. Lane `j`'s `r`-th
+    /// buffers `[dst, a, b]`, already resolved once. It applies when all
+    /// lanes share the stride `k` and the cap `n` and the group's `m`
+    /// starts are consecutive from `s0`. Lane `j`'s `r`-th
     /// element is then word `j` of row `r`, the contiguous `m` words from
     /// `s0 + r * k`, so combining row by row touches the same elements the
     /// same number of times as lane by lane. Order cannot matter: each
@@ -2932,25 +2589,6 @@ impl<'a> Engine<'a> {
         };
         // Intra-block convergence first (same cost as a block barrier).
         let local = bar_last + self.lat.block_sync;
-        if let Some(s) = &mut self.shard {
-            if s.sm.is_some() {
-                // SM-cluster shard: the arrival atomic contends on the
-                // *device's* L2 atomic unit, which no single cluster owns.
-                // Park the arrival; the coordinator drains every cluster's
-                // outbox at the round boundary and replays the atomics on
-                // its device-level L2 replica in the single-queue engine's
-                // own order for this launch shape (see `crate::shard`).
-                // That order is the *event firing* time (`now`, when the
-                // last warp reaches the block barrier), not `local`: the
-                // per-SM barrier unit can push `bar_last` past `now` by a
-                // congestion-dependent amount, so `local` order and firing
-                // order genuinely disagree under load.
-                let now = self.now;
-                s.grid_arrivals
-                    .push((now, local, gb, kind == BlockWaitKind::MultiGrid));
-                return;
-            }
-        }
         let spinning = self.devs[rank].grid_bar.waiting.len() as f64;
         // Contended interval varies with the number of spinning leaders —
         // this one stays a live `cyc` conversion.
@@ -3009,61 +2647,33 @@ impl<'a> Engine<'a> {
             SyncScope::Grid
         };
         self.prof_epoch(rank as u32, scope, release_flag);
-        for (order, (gb, atomic_done)) in waiting.into_iter().enumerate() {
-            let per_block = Ps::from_ns_f64(per_block_ns * order as f64);
-            self.wake_grid_block(gb, atomic_done, release_flag, per_warp, per_block);
-        }
-    }
-
-    /// Wake one block from a grid-level barrier: its leader polls the release
-    /// flag every `poll` cycles from its own arrival atomic's completion,
-    /// reads it one L2 latency later, and releases its warps down the
-    /// per-warp ramp. Shared by [`Engine::release_grid`] and the cluster
-    /// coordinator's [`Engine::inject_grid_release`] so both paths produce
-    /// bit-identical wake times.
-    fn wake_grid_block(
-        &mut self,
-        gb: u32,
-        atomic_done: Ps,
-        release_flag: Ps,
-        per_warp: f64,
-        per_block: Ps,
-    ) {
         let poll = self.lat.poll;
         let l2_lat = self.lat.l2;
-        // The leader polls every `poll` cycles from its own arrival.
-        let wake_base = if release_flag <= atomic_done {
-            atomic_done
-        } else {
-            let gap = (release_flag - atomic_done).0;
-            let k = gap.div_ceil(poll.0.max(1));
-            atomic_done + Ps(k * poll.0)
-        } + l2_lat
-            + per_block;
-        let b = &mut self.blocks[gb as usize];
-        b.smem.fence_all();
-        b.bar_arrived = 0;
-        b.bar_last = Ps::ZERO;
-        let warps = std::mem::take(&mut b.bar_waiting);
-        for (i, w) in warps.into_iter().enumerate() {
-            let at = wake_base + self.cyc(per_warp * i as f64);
-            self.release_warp_from_block_barrier(w, at);
+        for (order, (gb, atomic_done)) in waiting.into_iter().enumerate() {
+            // Each block's leader polls every `poll` cycles from its own arrival.
+            let wake_base = if release_flag <= atomic_done {
+                atomic_done
+            } else {
+                let gap = (release_flag - atomic_done).0;
+                let k = gap.div_ceil(poll.0.max(1));
+                atomic_done + Ps(k * poll.0)
+            } + l2_lat
+                + Ps::from_ns_f64(per_block_ns * order as f64);
+            let b = &mut self.blocks[gb as usize];
+            b.smem.fence_all();
+            b.bar_arrived = 0;
+            b.bar_last = Ps::ZERO;
+            let warps = std::mem::take(&mut b.bar_waiting);
+            for (i, w) in warps.into_iter().enumerate() {
+                let at = wake_base + self.cyc(per_warp * i as f64);
+                self.release_warp_from_block_barrier(w, at);
+            }
         }
     }
 
     /// One device finished its local multi-grid arrival; when all ranks have,
     /// run the inter-GPU flag exchange and release every rank.
     fn rank_arrives_at_mgrid(&mut self, rank: usize, local_done: Ps) {
-        if let Some(s) = &mut self.shard {
-            // Quiescent rendezvous: this shard's rank has fully arrived, so
-            // its arrival time is final. Park it for the coordinator, which
-            // resolves the exchange once every rank has arrived and injects
-            // the releases at a round boundary.
-            debug_assert_eq!(rank, s.rank as usize);
-            debug_assert!(s.mgrid_arrival.is_none(), "double multi-grid arrival");
-            s.mgrid_arrival = Some(local_done);
-            return;
-        }
         self.mgrid.rank_done[rank] = Some(local_done);
         self.mgrid.ranks_arrived += 1;
         if self.mgrid.ranks_arrived as usize != self.launch.devices.len() {
@@ -3124,7 +2734,6 @@ impl<'a> Engine<'a> {
                 .bufs
                 .get(b)
                 .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-            shard_guard(&self.shard, buffer.device)?;
             if buffer.device != self.devs[warp_rank].device_id {
                 remote_dev = Some(buffer.device);
             }
@@ -3224,27 +2833,12 @@ impl<'a> Engine<'a> {
 
     /// Why each of this engine's unfinished blocks is stuck, keyed by
     /// (rank, sm, block) for deterministic ordering; never-started blocks
-    /// have no SM and sort last per rank. Empty when the run completed. A
-    /// shard reports only its own rank's blocks; the coordinator merges
-    /// shards and re-sorts, reproducing the single-queue order.
-    pub(crate) fn blocked_descriptors(&self) -> Vec<(u32, u32, u32, String)> {
+    /// have no SM and sort last per rank. Empty when the run completed.
+    fn blocked_descriptors(&self) -> Vec<(u32, u32, u32, String)> {
         let mut blocked: Vec<(u32, u32, u32, String)> = Vec::new();
         for b in self.blocks.iter() {
             if b.done {
                 continue;
-            }
-            if let Some(s) = &self.shard {
-                if b.rank != s.rank {
-                    continue;
-                }
-                // A cluster shard sets up every block's placement but runs
-                // only its own SMs' — foreign blocks are not stuck, they are
-                // someone else's.
-                if let Some(own) = s.sm {
-                    if b.sm % s.clusters != own {
-                        continue;
-                    }
-                }
             }
             if !b.started {
                 blocked.push((
@@ -3359,78 +2953,6 @@ impl<'a> Engine<'a> {
             profile,
         ))
     }
-
-    /// Extract this shard's contribution to the merged run artifacts.
-    /// Called only after the coordinator verified global completion — a
-    /// shard on its own cannot distinguish "waiting on another rank" from
-    /// "stuck", so the deadlock check lives at the coordinator.
-    pub(crate) fn finish_shard(mut self) -> ShardParts {
-        let (rank, cluster_sm, clusters) = {
-            let s = self.shard.as_ref().expect("sharded engine");
-            (s.rank, s.sm, s.clusters)
-        };
-        // Own blocks in engine order = ascending block-on-device: merging
-        // shards rank-major reproduces the single-queue hazard order. A
-        // cluster shard additionally contributes only its own SMs' blocks;
-        // the coordinator re-sorts the concatenation by (rank, block).
-        let mut hazards = HazardReport::default();
-        for b in &mut self.blocks {
-            if b.rank != rank {
-                continue;
-            }
-            if let Some(own) = cluster_sm {
-                if b.sm % clusters != own {
-                    continue;
-                }
-            }
-            let (hz, dropped) = b.smem.take_hazards();
-            hazards.dropped += dropped;
-            for hazard in hz {
-                hazards.records.push(HazardRecord {
-                    rank: b.rank,
-                    block: b.block_on_device,
-                    hazard,
-                });
-            }
-        }
-        if let Some(g) = &mut self.grace {
-            let (hz, dropped) = g.take_hazards();
-            hazards.global = hz;
-            hazards.global_dropped = dropped;
-        }
-        let (sm_rows, epochs, epochs_dropped) = match self.prof.take() {
-            Some(mut p) => {
-                let rows = match cluster_sm {
-                    // A cluster owns the rows of its SMs (ascending SM
-                    // order); the coordinator re-sorts the concatenation by
-                    // (rank, sm).
-                    Some(own) => std::mem::take(&mut p.sms[rank as usize])
-                        .into_iter()
-                        .filter(|r| r.sm % clusters == own)
-                        .collect(),
-                    None => std::mem::take(&mut p.sms[rank as usize]),
-                };
-                (rows, p.epochs, p.epochs_dropped)
-            }
-            None => (Vec::new(), Vec::new(), 0),
-        };
-        let store_log = self
-            .shard
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.store_log))
-            .unwrap_or_default();
-        ShardParts {
-            end_time: self.devs[rank as usize].end_time,
-            warps_run: self.warps_run,
-            instrs_executed: self.instrs_executed,
-            trace: self.trace.map(|(_, ev)| ev).unwrap_or_default(),
-            hazards,
-            sm_rows,
-            epochs,
-            epochs_dropped,
-            store_log,
-        }
-    }
 }
 
 /// Number of architectural registers a program can touch: max referenced
@@ -3488,24 +3010,6 @@ fn combine_f64(dst: &mut [u64], a: Option<&[u64]>, b: Option<&[u64]>, r: std::op
 /// The fault of a `MemCombine` lane whose cap `n` exceeds a buffer's length.
 fn combine_cap_fault(n: u64, len: u64) -> SimError {
     SimError::MemoryFault(format!("combine cap {n} beyond buffer of {len} words"))
-}
-
-/// Reject a cross-device data access from a shard: a shard owns only its
-/// rank's buffers (other slots are placeholders), so another device's
-/// memory cannot be simulated locally. The multi-grid barrier — the one
-/// cross-device channel with a known minimum latency — is coordinated
-/// explicitly instead. A free function over the `shard` field so it can run
-/// while a buffer borrow of `sys` is live.
-#[inline]
-fn shard_guard(shard: &Option<ShardState>, device: usize) -> SimResult<()> {
-    match shard {
-        Some(s) if device != s.device_id => Err(SimError::InvalidLaunch(format!(
-            "sharded execution: rank {} (device {}) accessed memory on device {device}; \
-             cross-device data access needs the single-queue engine (shards = 0)",
-            s.rank, s.device_id
-        ))),
-        _ => Ok(()),
-    }
 }
 
 /// Iterate the set lanes of a mask, ascending (bit-clearing walk — cost is

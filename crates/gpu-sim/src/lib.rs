@@ -28,7 +28,6 @@ pub mod kernels;
 pub mod mem;
 pub mod profile;
 pub mod recover;
-pub mod shard;
 pub mod stats;
 pub mod system;
 pub mod timeline;
@@ -47,12 +46,6 @@ pub use profile::{
     BarrierEpoch, KernelProfile, ProfileReport, SmProfile, StallBreakdown, SyncScope,
 };
 pub use recover::{AttemptRecord, ErrorClass, RecoveryPolicy, RecoveryReport};
-pub use shard::{
-    default_shards, reset_shard_fallback_seen, set_default_shards, set_shard_fallback_hook,
-    shard_fallback_scope, ShardFallbackHook, ShardFallbackScope,
-};
-pub use system::{
-    ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions, ShardPolicy,
-};
+pub use system::{ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
 pub use timeline::render_timeline;
 pub use verify::{check_kernel, check_launch, render_report, Diagnostic, HazardClass, Severity};

@@ -8,8 +8,8 @@
 //! checkpoint byte-exactly, so every attempt observes the same initial
 //! state regardless of how far the failed attempt got. Buffer words are
 //! the *only* mutable state a launch can observe across launches — the
-//! engine, shard coordinators, and profiler are rebuilt per attempt —
-//! which is the exactness argument for the checkpoint.
+//! engine and profiler are rebuilt per attempt — which is the exactness
+//! argument for the checkpoint.
 //!
 //! Failures are classified by [`classify`]: watchdog livelocks, grid
 //! deadlocks, and instruction-limit blowups are *retryable* (they are
@@ -18,7 +18,7 @@
 //! immediately. Retries are paced by a seeded, counter-based exponential
 //! backoff — jitter comes from `fault::mix(seed, [TAG, attempt])`, never
 //! from wall clock or execution order, so the retry schedule is
-//! byte-identical at any `--jobs`/`--shards` setting.
+//! byte-identical at any `--jobs` setting.
 //!
 //! For multi-grid launches whose armed fault plan kills blocks on
 //! specific ranks, plain retry cannot help while the kills persist:

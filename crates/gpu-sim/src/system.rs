@@ -115,45 +115,6 @@ impl ExecReport {
     }
 }
 
-/// How a launch's discrete-event execution is parallelized (see
-/// [`crate::shard`] for the protocol). Sharding is an *execution strategy*,
-/// not an instrument: every artifact a sharded run produces is byte-identical
-/// at any worker count. The decomposition axis follows the launch shape —
-/// multi-device launches shard by device rank, single-device launches by SM
-/// cluster — so [`ShardPolicy::ByRank`] and [`ShardPolicy::BySmCluster`] are
-/// worker-count *hints* whose axis is corrected to fit the launch. Launches
-/// the cluster protocol cannot reproduce exactly (see
-/// `crate::shard::single_device_fallback_reason`) fall back to the single
-/// queue and report why through
-/// [`crate::shard::set_shard_fallback_hook`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Use the process-wide default ([`crate::shard::set_default_shards`],
-    /// wired to the CLI's `--shards`); `0` means the single-queue engine.
-    #[default]
-    Auto,
-    /// Force the classic single event queue.
-    SingleQueue,
-    /// One shard per device rank of a multi-device launch, driven by up to
-    /// `workers` OS threads under conservative time-window synchronization.
-    ByRank { workers: usize },
-    /// One shard per SM cluster of a single-device launch, driven by up to
-    /// `workers` OS threads — the intra-device decomposition
-    /// (`GpuArch::sm_cluster_count` clusters, window-bounded cross-shard
-    /// memory).
-    BySmCluster { workers: usize },
-}
-
-/// The execution strategy [`GpuSystem::decide_sharding`] resolved for one
-/// launch: the policy hint corrected to the launch's shape, with every
-/// fallback reported through the shard fallback hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardMode {
-    SingleQueue,
-    ByRank { workers: usize },
-    BySmCluster { workers: usize },
-}
-
 /// What to instrument during a run — the one knob set of the unified
 /// [`GpuSystem::execute`] API. Compose with the builder methods:
 ///
@@ -176,7 +137,6 @@ pub struct RunOptions {
     profile: bool,
     faults: Option<crate::fault::FaultPlan>,
     watchdog: Option<Ps>,
-    shards: ShardPolicy,
     recovery: Option<crate::recover::RecoveryPolicy>,
 }
 
@@ -189,7 +149,6 @@ impl RunOptions {
             profile: false,
             faults: None,
             watchdog: None,
-            shards: ShardPolicy::Auto,
             recovery: None,
         }
     }
@@ -236,27 +195,6 @@ impl RunOptions {
         self
     }
 
-    /// Select intra-launch sharding: `n` worker threads driving one
-    /// discrete-event shard per device rank (multi-device launches) or per
-    /// SM cluster (single-device launches) — the axis follows the launch
-    /// shape. `n = 0` forces the single-queue engine; `n = 1` runs the
-    /// sharded protocol on one thread — useful to test its determinism.
-    /// Shorthand for the common [`ShardPolicy`] cases.
-    pub const fn shards(mut self, n: usize) -> RunOptions {
-        self.shards = if n == 0 {
-            ShardPolicy::SingleQueue
-        } else {
-            ShardPolicy::ByRank { workers: n }
-        };
-        self
-    }
-
-    /// Set the full [`ShardPolicy`] (e.g. to restore `Auto`).
-    pub const fn shard_policy(mut self, policy: ShardPolicy) -> RunOptions {
-        self.shards = policy;
-        self
-    }
-
     /// Arm the fault recovery layer (see [`crate::recover`]): on a
     /// retryable [`SimError`] the launch is rolled back to a pre-attempt
     /// buffer checkpoint and relaunched under the policy's backoff and
@@ -266,10 +204,6 @@ impl RunOptions {
     pub const fn recovery(mut self, policy: crate::recover::RecoveryPolicy) -> RunOptions {
         self.recovery = Some(policy);
         self
-    }
-
-    pub const fn sharding(&self) -> ShardPolicy {
-        self.shards
     }
 
     pub const fn wants_check(&self) -> bool {
@@ -296,10 +230,10 @@ impl RunOptions {
         self.recovery.as_ref()
     }
 
-    /// The options one recovery attempt runs under: same instruments and
-    /// sharding, the attempt's (possibly disarmed or rank-compacted) fault
-    /// plan, and no recovery policy — the inner `execute` must not recurse
-    /// into the recovery layer.
+    /// The options one recovery attempt runs under: same instruments, the
+    /// attempt's (possibly disarmed or rank-compacted) fault plan, and no
+    /// recovery policy — the inner `execute` must not recurse into the
+    /// recovery layer.
     pub(crate) fn for_recovery_attempt(
         &self,
         faults: Option<crate::fault::FaultPlan>,
@@ -510,21 +444,6 @@ impl GpuSystem {
         out
     }
 
-    /// Does any rank's param list name a buffer on a different device?
-    /// Conservative (a scalar equal to a remote buffer's id counts), used
-    /// only to keep the shard selection off launches that need the
-    /// single-queue engine's cross-device data path.
-    pub(crate) fn params_cross_devices(&self, launch: &GridLaunch) -> bool {
-        launch.devices.iter().zip(&launch.params).any(|(&dev, ps)| {
-            ps.iter().any(|&p| {
-                usize::try_from(p)
-                    .ok()
-                    .and_then(|i| self.bufs.get(i))
-                    .is_some_and(|b| b.device != dev)
-            })
-        })
-    }
-
     /// Validate and execute a grid launch to completion — the single
     /// execution entry point. Host-side launch overheads are *not* included
     /// — they belong to the `cuda-rt` stream model.
@@ -542,41 +461,6 @@ impl GpuSystem {
         }
         let check = opts.wants_check() || launch.checked;
         self.validate_with(launch, check)?;
-        match self.decide_sharding(launch, opts, check) {
-            ShardMode::SingleQueue => {}
-            ShardMode::ByRank { workers } => {
-                let (report, trace, hazards, profile) =
-                    crate::shard::execute_sharded(self, launch, opts, check, workers)?;
-                crate::stats::count_instrs(report.instrs_executed);
-                return Ok(RunArtifacts {
-                    report,
-                    hazards: if check { Some(hazards) } else { None },
-                    trace: if opts.trace_cap().is_some() {
-                        Some(trace)
-                    } else {
-                        None
-                    },
-                    profile,
-                    recovery: None,
-                });
-            }
-            ShardMode::BySmCluster { workers } => {
-                let (report, trace, hazards, profile) =
-                    crate::shard::execute_cluster_sharded(self, launch, opts, check, workers)?;
-                crate::stats::count_instrs(report.instrs_executed);
-                return Ok(RunArtifacts {
-                    report,
-                    hazards: if check { Some(hazards) } else { None },
-                    trace: if opts.trace_cap().is_some() {
-                        Some(trace)
-                    } else {
-                        None
-                    },
-                    profile,
-                    recovery: None,
-                });
-            }
-        }
         let mut engine = Engine::new(self, launch)
             .with_check(check)
             .with_profile(opts.wants_profile())
@@ -598,58 +482,6 @@ impl GpuSystem {
             profile,
             recovery: None,
         })
-    }
-
-    /// Resolve the launch's execution strategy from the policy hint and the
-    /// launch shape. Multi-device launches shard by rank, single-device
-    /// launches by SM cluster; every path that falls back to the single
-    /// queue reports its reason once through
-    /// [`crate::shard::set_shard_fallback_hook`].
-    pub(crate) fn decide_sharding(
-        &self,
-        launch: &GridLaunch,
-        opts: &RunOptions,
-        check: bool,
-    ) -> ShardMode {
-        let (auto, workers) = match opts.sharding() {
-            ShardPolicy::Auto => (true, crate::shard::default_shards()),
-            ShardPolicy::SingleQueue => {
-                crate::shard::note_shard_fallback("policy forces the single queue");
-                return ShardMode::SingleQueue;
-            }
-            // The explicit variants are worker-count hints; the axis always
-            // follows the launch shape.
-            ShardPolicy::ByRank { workers } | ShardPolicy::BySmCluster { workers } => {
-                (false, workers)
-            }
-        };
-        if workers == 0 {
-            crate::shard::note_shard_fallback("no shard workers configured (--shards 0)");
-            return ShardMode::SingleQueue;
-        }
-        if launch.devices.len() > 1 {
-            // The process-wide default must widen no semantics: a launch
-            // whose params hand a rank another device's buffer (peer-access
-            // reductions, P2P allreduce) needs the single-queue engine's
-            // cross-device data path, so Auto quietly keeps it there. A
-            // scalar param colliding with a remote buffer id only costs the
-            // speedup, never correctness; computed cross-device accesses
-            // that slip past the scan still hit the in-engine guard.
-            if auto && self.params_cross_devices(launch) {
-                crate::shard::note_shard_fallback(
-                    "multi-device params cross devices: peer access needs the single queue",
-                );
-                return ShardMode::SingleQueue;
-            }
-            return ShardMode::ByRank { workers };
-        }
-        match crate::shard::single_device_fallback_reason(self, launch, check) {
-            Some(reason) => {
-                crate::shard::note_shard_fallback(&reason);
-                ShardMode::SingleQueue
-            }
-            None => ShardMode::BySmCluster { workers },
-        }
     }
 
     fn validate_with(&self, launch: &GridLaunch, check: bool) -> SimResult<()> {
@@ -1005,78 +837,5 @@ mod tests {
         assert!(far > near);
         let local = sys.peer_copy_time(0, 0, 1 << 20);
         assert!(local < near);
-    }
-
-    /// Pins the axis-selection rules: the policy names a worker count, the
-    /// launch shape names the decomposition axis, and every ineligible
-    /// single-device launch falls back to the single queue.
-    #[test]
-    fn sharding_selection_follows_launch_shape() {
-        let mut sys = GpuSystem::new(GpuArch::v100(), gpu_node::NodeTopology::dgx1_v100());
-        let buf = sys.alloc(0, 8 * 64);
-        let single = GridLaunch::single(
-            crate::kernels::sync_chain(crate::kernels::SyncOp::Grid, 2),
-            8,
-            64,
-            vec![buf.0 as u64],
-        )
-        .cooperative();
-        let multi = GridLaunch::multi(
-            crate::kernels::sync_chain(crate::kernels::SyncOp::MultiGrid, 2),
-            8,
-            64,
-            vec![0, 1],
-            vec![vec![], vec![]],
-        );
-        let opts4 = RunOptions::new().shards(4);
-        // Single-device + eligible kernel: cluster sharding, whichever
-        // variant carried the worker count.
-        assert_eq!(
-            sys.decide_sharding(&single, &opts4, false),
-            ShardMode::BySmCluster { workers: 4 }
-        );
-        assert_eq!(
-            sys.decide_sharding(
-                &single,
-                &RunOptions::new().shard_policy(ShardPolicy::BySmCluster { workers: 2 }),
-                false
-            ),
-            ShardMode::BySmCluster { workers: 2 }
-        );
-        // Checked runs need the launch-wide racecheck ordering.
-        assert_eq!(
-            sys.decide_sharding(&single, &opts4, true),
-            ShardMode::SingleQueue
-        );
-        // No workers — explicitly or via the process default of 0.
-        assert_eq!(
-            sys.decide_sharding(&single, &RunOptions::new().shards(0), false),
-            ShardMode::SingleQueue
-        );
-        assert_eq!(
-            sys.decide_sharding(&single, &RunOptions::new(), false),
-            ShardMode::SingleQueue
-        );
-        // A 1-SM device has nothing to partition.
-        let mut one_sm = GpuArch::v100();
-        one_sm.num_sms = 1;
-        let mut tiny = GpuSystem::single(one_sm);
-        let tbuf = tiny.alloc(0, 64);
-        let tiny_launch = GridLaunch::single(
-            crate::kernels::sync_chain(crate::kernels::SyncOp::Grid, 2),
-            1,
-            64,
-            vec![tbuf.0 as u64],
-        )
-        .cooperative();
-        assert_eq!(
-            tiny.decide_sharding(&tiny_launch, &opts4, false),
-            ShardMode::SingleQueue
-        );
-        // Multi-device launches keep the by-rank axis.
-        assert_eq!(
-            sys.decide_sharding(&multi, &opts4, false),
-            ShardMode::ByRank { workers: 4 }
-        );
     }
 }

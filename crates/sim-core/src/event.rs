@@ -106,20 +106,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Remove and return the earliest event if it is scheduled strictly
-    /// before `horizon` (FIFO among equal times).
-    ///
-    /// This is the primitive a time-window-sharded simulation runs on: each
-    /// shard drains its local queue only up to the round's safe horizon and
-    /// leaves later events for the next round, after cross-shard messages
-    /// (which can only land at or beyond the horizon) have been exchanged.
-    pub fn pop_before(&mut self, horizon: Ps) -> Option<(Ps, E)> {
-        match self.keys.first() {
-            Some(&k) if key_time(k) < horizon => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Ps> {
         self.keys.first().map(|&k| key_time(k))
@@ -210,20 +196,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((Ps(5), i)));
         }
-    }
-
-    #[test]
-    fn pop_before_respects_the_horizon_exclusively() {
-        let mut q = EventQueue::new();
-        q.push(Ps(10), "a");
-        q.push(Ps(20), "b");
-        q.push(Ps(20), "c");
-        assert_eq!(q.pop_before(Ps(10)), None, "horizon is exclusive");
-        assert_eq!(q.pop_before(Ps(11)), Some((Ps(10), "a")));
-        assert_eq!(q.pop_before(Ps(20)), None);
-        assert_eq!(q.pop_before(Ps(21)), Some((Ps(20), "b")), "FIFO at ties");
-        assert_eq!(q.pop_before(Ps(21)), Some((Ps(20), "c")));
-        assert_eq!(q.pop_before(Ps::MAX), None, "empty drains to None");
     }
 
     #[test]
