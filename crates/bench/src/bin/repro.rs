@@ -15,29 +15,27 @@
 //!                             # recall drops below the baseline file
 //! repro --profile grid_sync   # re-run an experiment with syncprof armed:
 //!                             # summary to stdout, artifacts under --out
-//! repro --bench               # run the fixed perf suite and write the
-//!                             # tracked baseline (BENCH_10.json) to the
-//!                             # current directory
 //! repro --faults 7 sync_resilience
 //!                             # seed for the fault-injection experiments
 //! ```
 //!
 //! Every artifact lands under the one `--out DIR` with a fixed per-artifact
-//! filename (the old `--bench-out` / `--scorecard-out` spellings are
-//! rejected with a pointer here):
+//! filename (the old `--scorecard-out` spelling is rejected with a pointer
+//! here):
 //!
 //! ```text
 //! experiments      DIR/<name>.txt
 //! --profile NAME   DIR/<name>.profile.json, DIR/<name>.trace.json
 //! --check          DIR/audit.json
 //! --scorecard      DIR/SCORECARD.json
-//! --bench          DIR/BENCH_10.json
 //! ```
 //!
-//! Without `--out`, experiments/audit/scorecard print to stdout only and
-//! `--bench` writes its baseline to the current directory. Modes compose in
-//! one invocation because the filenames cannot collide; `--out` naming an
-//! existing non-directory is a conflict and exits 2.
+//! Without `--out`, experiments/audit/scorecard print to stdout only. Modes
+//! compose in one invocation because the filenames cannot collide; `--out`
+//! naming an existing non-directory is a conflict and exits 2.
+//!
+//! Performance is measured by the syncbench benchmark (`syncbench/`), not
+//! by this binary.
 //!
 //! Experiment names are validated up front: a typo anywhere in the argument
 //! list aborts before any experiment runs or the `--out` directory is
@@ -59,18 +57,14 @@ use syncmark_bench::profiling;
 fn usage_and_list() {
     println!(
         "usage: repro [--jobs N] [--out DIR] [--check] [--scorecard] \
-         [--scorecard-gate PATH] [--bench] [--faults SEED] \
+         [--scorecard-gate PATH] [--faults SEED] \
          [--profile NAME]... [all | list | <experiment>...]\n"
     );
     println!("artifacts land under the one --out DIR with fixed names:");
     println!("  experiments     DIR/<name>.txt");
     println!("  --profile NAME  DIR/<name>.profile.json, DIR/<name>.trace.json");
     println!("  --check         DIR/audit.json");
-    println!("  --scorecard     DIR/{SCORECARD_FILE}");
-    println!(
-        "  --bench         DIR/{} (current directory without --out)\n",
-        syncmark_bench::perf::DEFAULT_BENCH_FILE
-    );
+    println!("  --scorecard     DIR/{SCORECARD_FILE}\n");
     println!("available experiments:");
     for (name, desc, _) in EXPERIMENTS {
         println!("  {name:<10} {desc}");
@@ -139,18 +133,13 @@ fn main() {
         args.drain(pos..pos + 2);
     }
     // The per-artifact output flags were unified under `--out DIR`; reject
-    // the old spellings with a pointer instead of silently ignoring them.
-    for (old, new) in [
-        ("--bench-out", "--bench --out DIR writes DIR/BENCH_10.json"),
-        (
-            "--scorecard-out",
-            "--scorecard --out DIR writes DIR/SCORECARD.json",
-        ),
-    ] {
-        if args.iter().any(|a| a == old) {
-            eprintln!("{old} was replaced by the unified --out convention: {new}");
-            std::process::exit(2);
-        }
+    // the old spelling with a pointer instead of silently ignoring it.
+    if args.iter().any(|a| a == "--scorecard-out") {
+        eprintln!(
+            "--scorecard-out was replaced by the unified --out convention: \
+             --scorecard --out DIR writes DIR/{SCORECARD_FILE}"
+        );
+        std::process::exit(2);
     }
     if let Some(pos) = args.iter().position(|a| a == "--faults") {
         if pos + 1 >= args.len() {
@@ -216,35 +205,6 @@ fn main() {
         for name in &profiles {
             run_profile(name, out_dir.as_deref());
         }
-        if args.is_empty() {
-            return;
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        args.remove(pos);
-        use syncmark_bench::perf;
-        let path = match &out_dir {
-            Some(dir) => dir.join(perf::DEFAULT_BENCH_FILE),
-            None => perf::DEFAULT_BENCH_FILE.into(),
-        };
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        let records = perf::run_suite();
-        let json = perf::to_json(&records);
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[repro] wrote {} ({} experiments, {} worker(s))",
-            path.display(),
-            records.len(),
-            sync_micro::sweep::jobs()
-        );
         if args.is_empty() {
             return;
         }

@@ -2,13 +2,11 @@
 //!
 //! The reproduction harness: every table and figure of the paper's
 //! evaluation can be regenerated through [`experiments::EXPERIMENTS`], either
-//! via the `repro` binary or the benches. [`profiling::PROFILES`] re-runs
-//! selected experiments with the syncprof instrument armed
-//! (`repro --profile <name>`).
+//! via the `repro` binary or the syncbench benchmark (`syncbench/`).
+//! [`profiling::PROFILES`] re-runs selected experiments with the syncprof
+//! instrument armed (`repro --profile <name>`).
 
 pub mod ablations;
 pub mod experiments;
 pub mod faults;
-pub mod harness;
-pub mod perf;
 pub mod profiling;

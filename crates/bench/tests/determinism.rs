@@ -2,10 +2,13 @@
 //! at `--jobs 1` must be byte-identical at `--jobs 8`. Collection is
 //! slot-indexed, so completion order cannot leak into the tables; this test
 //! pins that guarantee on a single- and a multi-GPU figure and on the
-//! single-GPU, multi-GPU and fused-pipeline syncprof bundles.
+//! single-GPU, multi-GPU and fused-pipeline syncprof bundles. The simulated
+//! work must be invariant too: both passes execute the same number of
+//! instructions (`gpu_sim::stats::instrs_executed`).
 //!
-//! Everything lives in one `#[test]` because the sweep default-jobs knob is process
-//! global and libtest runs test functions concurrently.
+//! Everything lives in one `#[test]` because the sweep default-jobs knob and
+//! the instruction counter are process global and libtest runs test
+//! functions concurrently.
 
 use gpu_arch::GpuArch;
 use sync_micro::{grid_sync, multi_grid};
@@ -50,16 +53,29 @@ fn rendered_tables_are_byte_identical_across_worker_counts() {
     let p100 = small(GpuArch::p100());
 
     sync_micro::sweep::Sweep::set_default_jobs(1);
+    gpu_sim::stats::reset_instrs();
     let fig5_serial = render_fig5(&v100);
     let fig7_serial = render_fig7(&p100);
     let profiles_serial = all_profiles();
+    let instrs_serial = gpu_sim::stats::instrs_executed();
 
     sync_micro::sweep::Sweep::set_default_jobs(8);
+    gpu_sim::stats::reset_instrs();
     let fig5_parallel = render_fig5(&v100);
     let fig7_parallel = render_fig7(&p100);
     let profiles_parallel = all_profiles();
+    let instrs_parallel = gpu_sim::stats::instrs_executed();
 
     sync_micro::sweep::Sweep::set_default_jobs(0);
+
+    assert!(
+        instrs_serial > 0,
+        "the serial pass executed no instructions"
+    );
+    assert_eq!(
+        instrs_serial, instrs_parallel,
+        "instructions executed differ across jobs"
+    );
 
     assert_eq!(fig5_serial, fig5_parallel, "figure5 differs across jobs");
     assert_eq!(fig7_serial, fig7_parallel, "figure7 differs across jobs");

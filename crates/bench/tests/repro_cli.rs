@@ -8,30 +8,30 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
+/// A typo'd experiment and the retired `--bench` mode are both unknown
+/// arguments: exit 2, named on stderr, before anything runs or `--out`
+/// exists.
 #[test]
 fn unknown_name_fails_fast_without_creating_out_dir() {
     let out = std::env::temp_dir().join("syncmark-repro-cli-unknown-out");
-    let _ = std::fs::remove_dir_all(&out);
-    let r = repro()
-        .args(["--out", out.to_str().unwrap(), "table2", "no-such-figure"])
-        .output()
-        .unwrap();
-    assert_eq!(r.status.code(), Some(2), "expected exit 2 on unknown name");
-    let stderr = String::from_utf8_lossy(&r.stderr);
-    assert!(
-        stderr.contains("no-such-figure"),
-        "stderr names the bad experiment: {stderr}"
-    );
-    // Nothing ran, nothing was written: validation precedes all side effects.
-    assert!(
-        !Path::new(&out).exists(),
-        "--out dir must not be created when validation fails"
-    );
-    let stdout = String::from_utf8_lossy(&r.stdout);
-    assert!(
-        stdout.is_empty(),
-        "no experiment output on failure: {stdout}"
-    );
+    for bad in ["no-such-figure", "--bench"] {
+        let _ = std::fs::remove_dir_all(&out);
+        let r = repro()
+            .args(["--out", out.to_str().unwrap(), "table2", bad])
+            .output()
+            .unwrap();
+        assert_eq!(r.status.code(), Some(2), "expected exit 2 on {bad}");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(stderr.contains(bad), "stderr names {bad}: {stderr}");
+        // Nothing ran, nothing was written: validation precedes all side
+        // effects.
+        assert!(
+            !Path::new(&out).exists(),
+            "--out dir must not be created when {bad} fails validation"
+        );
+        let stdout = String::from_utf8_lossy(&r.stdout);
+        assert!(stdout.is_empty(), "no experiment output on {bad}: {stdout}");
+    }
 }
 
 #[test]
@@ -42,6 +42,7 @@ fn list_names_every_experiment() {
     for name in ["table2", "fig5", "fig7", "table7", "deadlocks"] {
         assert!(stdout.contains(name), "list is missing {name}: {stdout}");
     }
+    assert!(!stdout.contains("--bench"), "list offers --bench: {stdout}");
 }
 
 #[test]
@@ -300,18 +301,16 @@ fn out_naming_an_existing_file_is_a_conflict() {
 
 #[test]
 fn removed_output_flags_are_rejected_with_a_pointer() {
-    for (flag, artifact) in [
-        ("--bench-out", "BENCH_10.json"),
-        ("--scorecard-out", "SCORECARD.json"),
-    ] {
-        let r = repro().args([flag, "x.json"]).output().unwrap();
-        assert_eq!(r.status.code(), Some(2), "{flag} must be rejected");
-        let stderr = String::from_utf8_lossy(&r.stderr);
-        assert!(
-            stderr.contains("--out") && stderr.contains(artifact),
-            "{flag} rejection must point at the --out convention: {stderr}"
-        );
-    }
+    let r = repro()
+        .args(["--scorecard-out", "x.json"])
+        .output()
+        .unwrap();
+    assert_eq!(r.status.code(), Some(2), "--scorecard-out must be rejected");
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(
+        stderr.contains("--out") && stderr.contains("SCORECARD.json"),
+        "--scorecard-out rejection must point at the --out convention: {stderr}"
+    );
 }
 
 /// Every `[repro] <name> <secs>s` progress line ends its right-aligned

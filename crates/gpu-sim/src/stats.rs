@@ -1,15 +1,16 @@
-//! Process-wide execution accounting for the perf harness.
+//! Process-wide execution accounting for the syncbench benchmark.
 //!
-//! `repro --bench` reports instructions-per-second per experiment, but an
-//! experiment is an arbitrary tree of sweeps and launches — there is no
-//! single `ExecReport` to read a total from. Instead every
-//! [`crate::GpuSystem::execute`] adds its report's `instrs_executed` to one
-//! process-wide counter, and the harness brackets each experiment with
-//! [`reset_instrs`] / [`instrs_executed`].
+//! syncbench reports simulated instructions per host second and pins each
+//! experiment's instruction count, but an experiment is an arbitrary tree
+//! of sweeps and launches — there is no single `ExecReport` to read a total
+//! from. Instead every [`crate::GpuSystem::execute`] adds its report's
+//! `instrs_executed` to one process-wide counter, and the benchmark
+//! brackets each experiment with [`reset_instrs`] / [`instrs_executed`].
 //!
 //! The counter is a relaxed atomic sum: addition commutes, so the total is
-//! identical whatever order parallel sweep workers finish in — it is one of
-//! the deterministic fields CI diffs across `--jobs` values.
+//! identical whatever order parallel sweep workers finish in —
+//! `crates/bench/tests/determinism.rs` asserts it is equal at `--jobs 1`
+//! and `--jobs 8`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
